@@ -19,7 +19,6 @@ Usage::
     python -m repro replay CAPSULE.json          # re-run a failed cell
     python -m repro bench                # write BENCH_PR7.json
     python -m repro fuzz --budget 50 --seed 0 --shrink  # conformance
-    python -m repro run fig05 --engine calendar  # pick event backend
     python -m repro run fig05 --profile          # sampling profiler
     python -m repro worker /shared/queue         # drain a sweep queue
     python -m repro run fig14 --backend queue --queue-dir /shared/queue
@@ -105,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "cache (REPRO_CACHE_DIR or ~/.cache/repro)")
     run.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="cache directory (implies --cache)")
-    run.add_argument("--engine", default=None,
-                     choices=["heap", "calendar", "hybrid"],
-                     help="packet-engine backend: heap (oracle), "
-                          "calendar (bit-identical event queue), or "
-                          "hybrid (fluid elephants + packet mice; "
-                          "statistical, not bit-exact); experiments "
-                          "without a packet engine ignore it")
     run.add_argument("--telemetry", metavar="DIR", default=None,
                      help="record metrics, spans, health findings and "
                           "a JSONL run log per experiment into DIR")
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz", help="differential chaos-conformance fuzzing: "
-                     "randomized scenarios across the engine matrix "
+                     "randomized scenarios, forensics off vs on, "
                      "under invariant oracles (see repro.qa)")
     fuzz.add_argument("--budget", type=int, default=None, metavar="N",
                       help="number of scenarios to run")
@@ -302,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "its scenarios)")
     fuzz.add_argument("--matrix", default=None, metavar="C1,C2",
                       help="comma-separated comparison classes "
-                           "(scheduler,window,forensics,hybrid; "
-                           "default all)")
+                           "(forensics; default all)")
     fuzz.add_argument("--skip-oracle", action="append", default=None,
                       metavar="NAME", dest="skip_oracles",
                       help="disable one oracle (repeatable); for "
@@ -431,7 +422,6 @@ def run_experiments(names: List[str],
                     queue_dir: "str | None" = None,
                     lease_ttl: Optional[float] = None,
                     worker_grace: Optional[float] = None,
-                    engine: "str | None" = None,
                     profile: bool = False,
                     forensics: bool = False) -> int:
     if forensics and telemetry_dir is None:
@@ -474,10 +464,6 @@ def run_experiments(names: List[str],
             if forensics:
                 from repro.obs.forensics import FlowLedger
                 telemetry.forensics = FlowLedger()
-        # The ambient default reaches every SweepRunner the
-        # experiment builds internally, so sweeps run distributed
-        # without each experiment growing a backend parameter.
-        extra = {"engine": engine} if engine is not None else {}
         profiler = None
         if profile:
             from repro.obs.profile import SamplingProfiler
@@ -488,11 +474,13 @@ def run_experiments(names: List[str],
                 # the log closes; the later stop() is a no-op.
                 telemetry.profiler = profiler
         try:
+            # The ambient default reaches every SweepRunner the
+            # experiment builds internally, so sweeps run distributed
+            # without each experiment growing a backend parameter.
             with use_backend(backend_obj):
                 result = experiment.run(workers=workers, cache=cache,
                                         telemetry=telemetry,
-                                        resilience=resilience,
-                                        **extra)
+                                        resilience=resilience)
         finally:
             if profiler is not None:
                 profiler.stop()
@@ -850,7 +838,6 @@ def main(argv: "List[str] | None" = None) -> int:
                            queue_dir=args.queue_dir,
                            lease_ttl=args.lease_ttl,
                            worker_grace=args.worker_grace,
-                           engine=args.engine,
                            profile=args.profile,
                            forensics=args.forensics)
 

@@ -44,21 +44,8 @@ def run(extra_delays_us: Sequence[float] = (0.0, 85.0),
         num_flows: int = 10,
         capacity_gbps: float = 40.0,
         duration: float = 0.04,
-        seed: int = 3,
-        engine: str = "heap") -> List[SimStabilityRow]:
-    """Packet-level runs with and without the extra feedback delay.
-
-    ``engine`` selects the event-queue backend (``"heap"`` /
-    ``"calendar"``, bit-identical results) or the tick-stepped
-    ``"hybrid"`` fluid/packet mode, in which the ten long-lived flows
-    are elephants stepped by the Eq. 4-7 fluid recurrence and the
-    queue statistics come from the coupler's shared-queue trace
-    (statistically compatible, not bit-identical; see
-    ``docs/PERFORMANCE.md``).
-    """
-    if engine == "hybrid":
-        return _run_hybrid(extra_delays_us, num_flows, capacity_gbps,
-                           duration)
+        seed: int = 3) -> List[SimStabilityRow]:
+    """Packet-level runs with and without the extra feedback delay."""
     rows = []
     window = duration / 2.0
     # The oscillation detector refuses to judge until its trailing
@@ -71,8 +58,7 @@ def run(extra_delays_us: Sequence[float] = (0.0, 85.0),
         marker = REDMarker(params.red, params.mtu_bytes, seed=seed)
         net = single_switch(num_flows, link_gbps=capacity_gbps,
                             marker=marker,
-                            feedback_extra_delay=units.us(extra_us),
-                            engine=engine)
+                            feedback_extra_delay=units.us(extra_us))
         # Per-flow forensics (no-op unless --forensics); before
         # install_flow so flows land in this delay point's context.
         attach_flow_forensics(
@@ -108,39 +94,6 @@ def run(extra_delays_us: Sequence[float] = (0.0, 85.0),
             num_flows=num_flows,
             queue_mean_kb=monitor.tail_mean_bytes(window) / 1024,
             queue_std_kb=monitor.tail_std_bytes(window) / 1024,
-            queue_peak_kb=float(occupancy.max()) / 1024))
-    return rows
-
-
-def _run_hybrid(extra_delays_us: Sequence[float], num_flows: int,
-                capacity_gbps: float,
-                duration: float) -> List[SimStabilityRow]:
-    """The same scenario with all ten flows as fluid elephants."""
-    from repro.sim.hybrid import attach_drift_monitor, attach_hybrid
-
-    rows = []
-    window = duration / 2.0
-    for extra_us in extra_delays_us:
-        params = DCQCNParams.paper_default(capacity_gbps=capacity_gbps,
-                                           num_flows=num_flows)
-        net = single_switch(num_flows, link_gbps=capacity_gbps,
-                            engine="hybrid")
-        coupler = attach_hybrid(
-            net, params, extra_feedback_delay=units.us(extra_us))
-        # Hybrid-drift health rides the same 20 us cadence as the
-        # packet runs' sampler; None while telemetry is off.
-        drift = attach_drift_monitor(
-            coupler, interval=20e-6, window=duration / 4.0,
-            context=f"extra_delay={extra_us}us,N={num_flows}")
-        net.sim.run(until=duration)
-        if drift is not None:
-            drift.finalize()
-        _, occupancy = coupler.as_arrays()
-        rows.append(SimStabilityRow(
-            extra_delay_us=extra_us,
-            num_flows=num_flows,
-            queue_mean_kb=coupler.tail_mean_bytes(window) / 1024,
-            queue_std_kb=coupler.tail_std_bytes(window) / 1024,
             queue_peak_kb=float(occupancy.max()) / 1024))
     return rows
 

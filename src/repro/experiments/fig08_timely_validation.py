@@ -44,13 +44,9 @@ class TimelyValidationRow:
 
 
 def run(flow_counts=(2, 10), capacity_gbps: float = 10.0,
-        duration: float = 0.06, dt: float = 1e-6,
-        engine: str = "heap") -> List[TimelyValidationRow]:
-    """Run the fluid/simulation pair for each flow count.
-
-    ``engine`` selects the packet-side event-queue backend
-    (``"heap"`` / ``"calendar"``; bit-identical results).
-    """
+        duration: float = 0.06,
+        dt: float = 1e-6) -> List[TimelyValidationRow]:
+    """Run the fluid/simulation pair for each flow count."""
     rows = []
     window = duration / 3.0
     for n in flow_counts:
@@ -66,7 +62,7 @@ def run(flow_counts=(2, 10), capacity_gbps: float = 10.0,
         fluid_queue = fluid.tail_mean("q", window)
         fluid_queue_std = fluid.tail_std("q", window)
 
-        net = single_switch(n, link_gbps=capacity_gbps, engine=engine)
+        net = single_switch(n, link_gbps=capacity_gbps)
         for i in range(n):
             install_flow(net, "timely", f"s{i}", "recv", None, 0.0,
                          params, pacing="packet",

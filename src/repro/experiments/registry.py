@@ -70,10 +70,7 @@ from repro.experiments import (ablations,
 #: selects *where* cells execute -- note most callers instead install
 #: an ambient default via :func:`repro.perf.backend.use_backend`,
 #: which reaches every runner without threading a kwarg through.
-#: ``engine`` picks the event-queue backend for packet-level
-#: experiments (:data:`repro.sim.topology.ENGINES`); fluid-only
-#: experiments drop it.
-PERF_KWARGS = ("workers", "cache", "resilience", "backend", "engine")
+PERF_KWARGS = ("workers", "cache", "resilience", "backend")
 
 #: Uniform observability kwarg, handled by the registry wrapper
 #: itself (experiments never see it).

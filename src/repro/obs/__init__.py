@@ -58,7 +58,7 @@ the DDE fluid integrator, and the parallel sweep runner):
 
 :mod:`repro.obs.profile`
     Sampling profiler for the engine hot loops: a sidecar thread
-    attributes wall time to scheduler/port/protocol/engine frames
+    attributes wall time to port/protocol/engine/fluid frames
     with zero per-event cost in the profiled thread.
 
 :mod:`repro.obs.forensics`
@@ -72,8 +72,7 @@ the DDE fluid integrator, and the parallel sweep runner):
 """
 
 from repro.obs.health import (Detector, HealthFinding, HealthMonitor,
-                              HealthSession, HybridDriftDetector,
-                              PauseStormDetector,
+                              HealthSession, PauseStormDetector,
                               QueueOscillationDetector,
                               StalledConvergenceDetector,
                               UnfairnessDriftDetector,
@@ -108,7 +107,6 @@ __all__ = [
     "Detector", "HealthFinding", "HealthMonitor", "HealthSession",
     "QueueOscillationDetector", "UnfairnessDriftDetector",
     "PauseStormDetector", "StalledConvergenceDetector",
-    "HybridDriftDetector",
     "attach_packet_health", "current_session", "set_session",
     "use_session", "verdict_for",
     "FlowLedger", "active_ledger", "attach_flow_forensics",

@@ -39,17 +39,13 @@ DEFAULT_RTOL = 0.02
 #: runners; a 25% swing in a timing micro-bench is routine).
 NOISY_RTOL = 0.25
 
-#: Name fragments marking a metric as higher-is-better.  The last
-#: three cover the boolean gates of the bench report's ``engines`` /
-#: ``sweeps`` sections (flattened to 0/1): ``fig05_calendar_
-#: identical``, ``hybrid.tail_mean_within_tolerance`` and
-#: ``hybrid.cov_ordering_preserved`` flipping True -> False must
-#: surface as a regression naming the engine, not as a neutral
-#: "changed".
+#: Name fragments marking a metric as higher-is-better.
+#: ``identical`` covers the bench report's boolean determinism gates
+#: (flattened to 0/1): a True -> False flip must surface as a
+#: regression, not as a neutral "changed".
 _HIGHER_BETTER = ("per_sec", "per_second", "speedup", "throughput",
                   "hit_rate", "hits", "utilization", "goodput",
-                  "jain", "identical", "within_tolerance",
-                  "preserved", "flows_completed",
+                  "jain", "identical", "flows_completed",
                   "off_over_on_ratio")
 
 #: Name fragments marking a metric as lower-is-better.  The
@@ -164,8 +160,7 @@ def _flatten(prefix: str, value, out: Dict[str, float]) -> None:
     """Collect numeric leaves of nested dicts as dotted names.
 
     Booleans flatten to 0/1 so the bench report's gate flags (the
-    ``engines`` section's bit-identity and hybrid-tolerance checks,
-    the sweep determinism checks) participate in the diff: a True ->
+    sweep determinism checks) participate in the diff: a True ->
     False flip is a -100% move, far beyond any tolerance, and the
     direction fragments classify it as a regression.
     """

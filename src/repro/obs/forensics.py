@@ -6,7 +6,7 @@ question those layers cannot: for one individual flow, *why* was its
 completion time what it was?
 
 A :class:`FlowLedger` subscribes to cheap hooks in the simulation
-layer -- port enqueue/departure (scalar and PR 7 window paths), PFC
+layer -- port enqueue/departure, PFC
 pause/resume per port, drops, and protocol rate-state transitions --
 and folds them into one record per flow.  On finalization each
 completed flow's FCT is decomposed into named components::
@@ -21,8 +21,7 @@ the congestion-control algorithm held the sender below line rate),
 and the last packet's journey through the network is split per hop
 into queue wait (minus pause overlap), PFC pause overlap, wire
 serialization and link propagation.  Because those intervals tile
-``[start, completion]`` exactly, the residual is float noise on the
-scalar engine (and bounded by one coalesced window in batched mode).
+``[start, completion]`` exactly, the residual is float noise.
 
 Causal annotations ride along: which port marked the flow's packets
 CE (and how many), which PFC pause storms sat on its path (and for
@@ -51,7 +50,6 @@ Surfaces:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -189,8 +187,6 @@ class FlowLedger:
         self._flows: "Dict[Tuple[Optional[str], int], FlowRecord]" = {}
         self._pauses: "Dict[Tuple[Optional[str], str], _PauseLog]" = {}
         self._nic_of: "Dict[Tuple[Optional[str], str], str]" = {}
-        self._batch_accepts: "Dict[Tuple[Optional[str], str], deque]" \
-            = {}
         self._finalized = False
 
     # -- wiring ---------------------------------------------------------------
@@ -234,14 +230,14 @@ class FlowLedger:
     # -- simulator hooks (active only while a run is forensic) ----------------
 
     def on_enqueue(self, port, packet) -> None:
-        """A data packet entered ``port``'s FIFO (scalar path)."""
+        """A data packet entered ``port``'s FIFO."""
         if packet.kind != "data":
             return
         now = port.sim.now
         packet.enqueue_time = now
         record = self._flow(packet.flow_id, packet.src, packet.dst)
         if self._nic_of.get((self._context, port.name)) == packet.src:
-            self._account_emission(record, now, port.rate, 1,
+            self._account_emission(record, now, port.rate,
                                    packet.size_bytes)
         hop = record.hops.get(port.name)
         if hop is None:
@@ -252,15 +248,13 @@ class FlowLedger:
         hop.last_enqueue = now
 
     def _account_emission(self, record: FlowRecord, now: float,
-                          line_rate: float, count: int,
-                          last_size: int) -> None:
+                          line_rate: float, size: int) -> None:
         """Split the inter-emission gap at the sender NIC.
 
         The gap since the previous emission covers (at most) the
         previous packet's line-rate serialization; any excess is time
         the pacer deliberately idled -- the ``rate_limited``
-        component.  ``count > 1`` covers batched emissions, whose
-        intra-batch gaps are zero by construction.
+        component.
         """
         previous = record.last_emit
         if previous is None:
@@ -274,11 +268,10 @@ class FlowLedger:
                 record.pacing_serialization_s += ideal
                 record.rate_limited_s += gap - ideal
         record.last_emit = now
-        record.prev_size = last_size
-        record.emitted += count
+        record.prev_size = size
+        record.emitted += 1
 
-    def on_departure(self, port, packet,
-                     finish: Optional[float] = None) -> None:
+    def on_departure(self, port, packet) -> None:
         """A data packet finished serialization at ``port``."""
         if packet.kind != "data":
             return
@@ -288,62 +281,13 @@ class FlowLedger:
         hop = record.hops.get(port.name)
         if hop is None:
             return
-        now = port.sim.now if finish is None else finish
+        now = port.sim.now
         hop.last_finish = now
         hop.last_serialization = packet.size_bytes / port.rate
         hop.last_start = now - hop.last_serialization
         hop.last_wait_enqueue = packet.enqueue_time
         if packet.ecn_marked:
             hop.marks += 1
-
-    def on_window(self, port, payload, finishes) -> None:
-        """A serialized window left ``port`` (PR 7 batched path)."""
-        from repro.sim.packet import PacketBatch
-        if isinstance(payload, PacketBatch):
-            accepts = self._batch_accepts.get(
-                (self._context, port.name))
-            enqueue = accepts.popleft() if accepts else None
-            if payload.kind != "data":
-                return
-            record = self._flows.get(
-                (self._context, payload.flow_id))
-            if record is None:
-                return
-            hop = record.hops.get(port.name)
-            if hop is None:
-                return
-            hop.marks += int(payload.ecn_marked.sum())
-            hop.last_finish = float(finishes[-1])
-            hop.last_serialization = \
-                float(payload.size_bytes[-1]) / port.rate
-            hop.last_start = hop.last_finish - hop.last_serialization
-            hop.last_wait_enqueue = enqueue
-            return
-        for i, packet in enumerate(payload):
-            self.on_departure(port, packet, finish=float(finishes[i]))
-
-    def on_batch_enqueue(self, port, batch) -> None:
-        """A :class:`PacketBatch` was accepted onto the window path."""
-        now = port.sim.now
-        key = (self._context, port.name)
-        accepts = self._batch_accepts.get(key)
-        if accepts is None:
-            accepts = deque()
-            self._batch_accepts[key] = accepts
-        accepts.append(now)
-        if batch.kind != "data":
-            return
-        record = self._flow(batch.flow_id, batch.src, batch.dst)
-        if self._nic_of.get(key) == batch.src:
-            self._account_emission(record, now, port.rate, batch.count,
-                                   int(batch.size_bytes[-1]))
-        hop = record.hops.get(port.name)
-        if hop is None:
-            hop = HopRecord(port.name, port.rate, port.link.delay)
-            record.hops[port.name] = hop
-        hop.packets += batch.count
-        hop.bytes += batch.total_bytes
-        hop.last_enqueue = now
 
     def on_drop(self, port, packet) -> None:
         """A data packet was tail-dropped at ``port``'s FIFO."""

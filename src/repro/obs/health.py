@@ -506,173 +506,6 @@ class StalledConvergenceDetector(SeriesDetector):
             t=float(t_end), worst_drift=worst, flow=flow)]
 
 
-class HybridDriftDetector(SeriesDetector):
-    """Fluid-vs-packet divergence in hybrid runs (PR 7 coupler).
-
-    Watches the drift signals
-    :class:`repro.sim.hybrid.HybridDCQCNCoupler` publishes each tick
-    (``hybrid_backlog_delta_bytes``, ``hybrid_queue_bytes``,
-    ``hybrid_rate_residual``).  The hybrid mode is only honest while
-    the fluid backlog and the packet queue tell the same story about
-    the bottleneck, so sustained disagreement is itself a pathology
-    of the *method*, distinct from the protocol pathologies the other
-    detectors flag.  Signatures:
-
-    * ``backlog_divergence`` (warning, streaming): over the trailing
-      ``window`` the mean |fluid backlog - packet queue| exceeds
-      ``delta_rtol`` of the mean total queue -- the two halves of the
-      hybrid have stopped agreeing on where the bytes are.  Checked
-      every ``check_interval`` (default ``window / 4``).
-    * ``mice_starved`` (warning, streaming): the residual-capacity
-      fraction granted to the packet mice stays at or below
-      ``residual_floor`` for a whole window -- the fluid background
-      flows have swallowed the line and the packet half is idling on
-      the coupler's clamp, so its statistics are no longer
-      informative.
-    * ``runaway_divergence`` (critical, at finish): the tail-window
-      mean total queue is more than ``growth_critical`` times the
-      previous window's mean -- the coupled system is blowing up
-      rather than settling, usually a tick/feedback-delay mismatch.
-    * ``tail_drift`` (warning, at finish): the tail mean moved more
-      than ``drift_rtol`` relative to the previous window without
-      crossing the runaway line -- the hybrid has not converged on
-      the horizon it was given.
-    """
-
-    name = "hybrid_drift"
-    paper_ref = "Sec. 3 (fluid-model fidelity)"
-
-    def __init__(self, window: float,
-                 delta_rtol: float = 0.5,
-                 residual_floor: float = 0.05,
-                 drift_rtol: float = 0.25,
-                 growth_critical: float = 2.0,
-                 check_interval: Optional[float] = None,
-                 min_samples: int = 32):
-        super().__init__()
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
-        self.delta_rtol = delta_rtol
-        self.residual_floor = residual_floor
-        self.drift_rtol = drift_rtol
-        self.growth_critical = growth_critical
-        self.check_interval = check_interval \
-            if check_interval is not None else window / 4
-        self.min_samples = min_samples
-        self._deltas: List[float] = []
-        self._queues: List[float] = []
-        self._residuals: List[float] = []
-        self._next_check = -np.inf
-        self._fired_divergence = False
-        self._fired_starved = False
-
-    def reset(self) -> None:
-        super().reset()
-        self._deltas.clear()
-        self._queues.clear()
-        self._residuals.clear()
-        self._next_check = -np.inf
-        self._fired_divergence = False
-        self._fired_starved = False
-
-    def sample(self, t: float,
-               signals: dict) -> Optional[List[HealthFinding]]:
-        delta = signals.get("hybrid_backlog_delta_bytes")
-        if delta is None:
-            return None
-        self._rewind_guard(t)
-        self._times.append(t)
-        self._deltas.append(float(delta))
-        self._queues.append(
-            float(signals.get("hybrid_queue_bytes", 0.0)))
-        self._residuals.append(
-            float(signals.get("hybrid_rate_residual", 1.0)))
-        if t < self._next_check \
-                or len(self._times) < self.min_samples:
-            return None
-        self._next_check = t + self.check_interval
-        return self._check_streaming(t)
-
-    def _tail_mask(self, window: float) -> np.ndarray:
-        return self._window_slice(np.asarray(self._times), window)
-
-    def _check_streaming(self, t: float) -> List[HealthFinding]:
-        # Skip the start-up transient, same rationale as the queue
-        # oscillation detector: the first window legitimately sees
-        # the fluid state and packet queue filling at different
-        # speeds.
-        if self._times[-1] - self._times[0] < 2 * self.window:
-            return []
-        mask = self._tail_mask(self.window)
-        deltas = np.asarray(self._deltas)[mask]
-        queues = np.asarray(self._queues)[mask]
-        residuals = np.asarray(self._residuals)[mask]
-        findings: List[HealthFinding] = []
-        queue_mean = float(np.mean(queues))
-        delta_mean = float(np.mean(np.abs(deltas)))
-        scale = max(queue_mean, 1.0)
-        if not self._fired_divergence \
-                and delta_mean / scale > self.delta_rtol:
-            self._fired_divergence = True
-            findings.append(self._finding(
-                "backlog_divergence", "warning",
-                f"fluid/packet backlog disagreement: mean |delta| "
-                f"{delta_mean:.3g} B is {delta_mean / scale:.0%} of "
-                f"the {queue_mean:.3g} B mean queue over the last "
-                f"{self.window * 1e3:.1f} ms",
-                t=t, backlog_delta_bytes=delta_mean,
-                queue_mean_bytes=queue_mean,
-                delta_fraction=delta_mean / scale))
-        if not self._fired_starved and residuals.size \
-                and float(np.max(residuals)) <= self.residual_floor:
-            self._fired_starved = True
-            findings.append(self._finding(
-                "mice_starved", "warning",
-                f"packet mice pinned at the residual-capacity clamp "
-                f"(<= {self.residual_floor:.0%} of line rate) for "
-                f"{self.window * 1e3:.1f} ms: fluid background flows "
-                "own the bottleneck",
-                t=t, residual_max=float(np.max(residuals))))
-        return findings
-
-    def finish(self) -> List[HealthFinding]:
-        if len(self._times) < self.min_samples:
-            return []
-        findings = self._check_streaming(self._times[-1])
-        times = np.asarray(self._times)
-        queues = np.asarray(self._queues)
-        t_end = float(times[-1])
-        tail = queues[times >= t_end - self.window]
-        prev = queues[(times >= t_end - 2 * self.window)
-                      & (times < t_end - self.window)]
-        if tail.size == 0 or prev.size == 0:
-            return findings
-        tail_mean = float(np.mean(tail))
-        prev_mean = float(np.mean(prev))
-        scale = max(abs(prev_mean), 1.0)
-        growth = tail_mean / scale
-        drift = abs(tail_mean - prev_mean) / scale
-        if growth > self.growth_critical:
-            findings.append(self._finding(
-                "runaway_divergence", "critical",
-                f"hybrid queue running away: tail-window mean "
-                f"{tail_mean:.3g} B is {growth:.1f}x the previous "
-                f"window's {prev_mean:.3g} B -- the coupled system "
-                "is not tracking a fixed point",
-                t=t_end, tail_mean_bytes=tail_mean,
-                prev_mean_bytes=prev_mean, growth=growth))
-        elif drift > self.drift_rtol:
-            findings.append(self._finding(
-                "tail_drift", "warning",
-                f"hybrid tail still moving: window-mean queue "
-                f"changed {drift:.0%} between the last two "
-                f"{self.window * 1e3:.1f} ms windows",
-                t=t_end, tail_mean_bytes=tail_mean,
-                prev_mean_bytes=prev_mean, drift=drift))
-        return findings
-
-
 class HealthMonitor:
     """Drives detectors over one simulation/integration.
 

@@ -6,19 +6,16 @@ dict lookup -- no tracing hooks, no per-event cost in the profiled
 thread), and attributes the sample to the innermost frame that
 matches a known engine category:
 
-``scheduler``
-    Event-queue operations (:mod:`repro.sim.scheduler`): heap pops,
-    calendar-wheel advances, bucket rehashes.
 ``port``
     Link/port transmit machinery (:mod:`repro.sim.link`).
 ``protocol``
     Protocol handlers (:mod:`repro.sim.protocols`): DCQCN/TIMELY
     rate updates, CNP generation, ack clocking.
 ``engine``
-    The :class:`~repro.sim.engine.Simulator` run loops themselves
-    (dispatch overhead across the heap/calendar/batched paths).
-``fluid`` / ``hybrid``
-    The ODE/DDE models and the hybrid coupler.
+    The :class:`~repro.sim.engine.Simulator` run loop itself, heap
+    operations included (``heapq`` runs inline in it).
+``fluid``
+    The ODE/DDE models (:mod:`repro.core.fluid`).
 ``other``
     Anything else (numpy internals, experiment glue).
 
@@ -54,16 +51,12 @@ DEFAULT_INTERVAL = 0.005
 #: Order matters -- the first fragment found walking outward from the
 #: innermost frame wins, so more specific modules come first.
 CATEGORIES = (
-    ("repro/sim/scheduler", "scheduler"),
-    ("repro\\sim\\scheduler", "scheduler"),
     ("repro/sim/link", "port"),
     ("repro\\sim\\link", "port"),
     ("repro/sim/protocols", "protocol"),
     ("repro\\sim\\protocols", "protocol"),
-    ("repro/sim/hybrid", "hybrid"),
-    ("repro\\sim\\hybrid", "hybrid"),
-    ("repro/fluid", "fluid"),
-    ("repro\\fluid", "fluid"),
+    ("repro/core/fluid", "fluid"),
+    ("repro\\core\\fluid", "fluid"),
     ("repro/sim/engine", "engine"),
     ("repro\\sim\\engine", "engine"),
 )

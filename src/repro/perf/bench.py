@@ -10,11 +10,7 @@ stepping, and one stability-map row -- and a sweep section times the
 FCT study) serially, with workers, and against a warm result cache.
 A resilience section measures what the journal + retry machinery
 costs an all-success sweep (it should be nearly free) and proves a
-journaled resume is bit-identical to the plain run.  An engines
-section compares the event-queue backends (heap oracle vs calendar),
-measures the batched struct-of-arrays port fast path, and gates the
-hybrid fluid/packet mode: calendar must be bit-identical to heap on
-fig05, hybrid statistically compatible (see :func:`bench_engines`).  A backends
+journaled resume is bit-identical to the plain run.  A backends
 section compares the same grid through the in-process, pool and
 distributed-queue execution backends (two local ``repro worker``
 subprocesses) and records the queue protocol's per-cell overhead.
@@ -50,7 +46,9 @@ from repro.perf.cache import ResultCache
 #:   ledger detached vs attached; the off/on ratio CI gates at
 #:   >= 0.95 (the forensics-off hot path must keep short-circuiting
 #:   on the ``ledger is None`` guards) (PR 9).
-REPORT_VERSION = 8
+#: 9 removed the engines section along with the calendar scheduler,
+#:   the batched port path and the hybrid mode it measured.
+REPORT_VERSION = 9
 
 #: Default output file, repo-root relative.
 DEFAULT_REPORT = "BENCH_PR7.json"
@@ -67,12 +65,10 @@ def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
 
 
 def bench_event_loop(n_events: int = 200_000,
-                     attach_health: bool = False,
-                     scheduler: str = "heap") -> float:
+                     attach_health: bool = False) -> float:
     """Self-rescheduling no-op events per second through the queue.
 
-    ``scheduler`` picks the event-queue backend (``"heap"`` /
-    ``"calendar"``).  ``attach_health=True`` additionally installs a
+    ``attach_health=True`` additionally installs a
     periodic sampler (every 20 sim-microseconds, i.e. one sample per
     20 events) feeding a live
     :class:`~repro.obs.health.QueueOscillationDetector`
@@ -82,7 +78,7 @@ def bench_event_loop(n_events: int = 200_000,
     from repro.sim.engine import Simulator
 
     def run() -> None:
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         count = [0]
 
         def tick() -> None:
@@ -127,53 +123,6 @@ def bench_port(n_packets: int = 50_000) -> float:
         for seq in range(n_packets):
             port.send(Packet(0, 1024, "s", "sink", kind="data",
                              seq=seq))
-        sim.run()
-
-    return n_packets / _best_of(run)
-
-
-def bench_port_batched(n_packets: int = 200_000,
-                       window: int = 64) -> float:
-    """Packets through one batch-capable port per second.
-
-    The feed hands the port :class:`~repro.sim.packet.PacketBatch`
-    windows of ``window`` packets, paced at the line rate so the port
-    alternates accept-and-serialize like a saturated NIC.  This is
-    the struct-of-arrays fast path: one transmission event and one
-    delivery event per *window* instead of four events per packet.
-    """
-    from repro.sim.engine import Simulator
-    from repro.sim.link import Link, Port
-    from repro.sim.packet import PacketBatch
-
-    class Sink:
-        name = "sink"
-
-        def receive(self, packet, ingress=None):
-            pass
-
-        def receive_window(self, payload, arrivals, ingress=None):
-            pass
-
-    rate = 1.25e9
-
-    def run() -> None:
-        sim = Simulator()
-        port = Port(sim, rate, Link(sim, 1e-6, Sink()),
-                    batch_window=window)
-        done = 0
-
-        def feed() -> None:
-            nonlocal done
-            if done >= n_packets:
-                return
-            count = min(window, n_packets - done)
-            port.send_batch(PacketBatch.uniform(
-                0, count, 1024, "s", "sink", seq_start=done))
-            done += count
-            sim.schedule(count * 1024 / rate, feed)
-
-        sim.schedule(0.0, feed)
         sim.run()
 
     return n_packets / _best_of(run)
@@ -248,7 +197,7 @@ def bench_profiler_overhead(n_events: int = 200_000) -> dict:
     on/off throughput ratio must stay near 1.0; CI gates it at
     >= 0.95 (the ISSUE's <= 5% overhead bound).  The sampled category
     shares ride along so the report shows where a pure event-loop
-    spin actually lands (engine + scheduler frames).
+    spin actually lands (engine frames).
     """
     from repro.obs.profile import SamplingProfiler
 
@@ -485,74 +434,6 @@ def bench_backends(workers: int = 2) -> dict:
     }
 
 
-def bench_engines(duration: float = 0.02) -> dict:
-    """Engine-backend comparison on the Fig. 5 packet scenario.
-
-    Three gates ride on this section:
-
-    * ``fig05_calendar_identical`` -- the calendar event queue must
-      reproduce the heap oracle's rows bit-for-bit;
-    * ``hybrid.tail_mean_within_tolerance`` -- the fluid/packet
-      hybrid's tail-mean queue must land within +/-50% of the oracle
-      on every extra-delay point;
-    * ``hybrid.cov_ordering_preserved`` -- the 85 us run must keep a
-      higher queue CoV than the low-delay run (the paper's
-      instability signature survives the fluid step).
-
-    Per-backend event-loop rates and the batched struct-of-arrays
-    port throughput (two window sizes) quantify the speedups the
-    non-oracle backends buy.
-    """
-    from repro.experiments import fig05_dcqcn_sim_instability as fig05
-
-    report: dict = {
-        "heap": {
-            "event_loop_events_per_sec":
-                bench_event_loop(scheduler="heap"),
-            "port_packets_per_sec": bench_port(),
-        },
-        "calendar": {
-            "event_loop_events_per_sec":
-                bench_event_loop(scheduler="calendar"),
-        },
-        "batched": {
-            "port_packets_per_sec": bench_port_batched(window=64),
-            "port_packets_per_sec_w256":
-                bench_port_batched(window=256),
-            "window": 64,
-        },
-    }
-
-    heap_rows = fig05.run(duration=duration, engine="heap")
-    calendar_rows = fig05.run(duration=duration, engine="calendar")
-    hybrid_rows = fig05.run(duration=duration, engine="hybrid")
-    report["fig05_duration_s"] = duration
-    report["fig05_calendar_identical"] = heap_rows == calendar_rows
-
-    points = []
-    for oracle, hybrid in zip(heap_rows, hybrid_rows):
-        points.append({
-            "extra_delay_us": oracle.extra_delay_us,
-            "oracle_queue_mean_kb": oracle.queue_mean_kb,
-            "hybrid_queue_mean_kb": hybrid.queue_mean_kb,
-            "mean_ratio": hybrid.queue_mean_kb
-            / oracle.queue_mean_kb if oracle.queue_mean_kb
-            else float("inf"),
-            "oracle_cov": oracle.coefficient_of_variation,
-            "hybrid_cov": hybrid.coefficient_of_variation,
-        })
-    by_delay = {row.extra_delay_us: row for row in hybrid_rows}
-    report["hybrid"] = {
-        "points": points,
-        "tail_mean_within_tolerance": all(
-            0.5 <= point["mean_ratio"] <= 1.5 for point in points),
-        "cov_ordering_preserved":
-            by_delay[85.0].coefficient_of_variation
-            > by_delay[0.0].coefficient_of_variation,
-    }
-    return report
-
-
 def run_benchmarks(workers: int = 4, full: bool = False,
                    baseline: Optional[dict] = None) -> dict:
     """Run everything and return the report dictionary."""
@@ -577,7 +458,6 @@ def run_benchmarks(workers: int = 4, full: bool = False,
         "telemetry": bench_telemetry_overhead(),
         "profiler": bench_profiler_overhead(),
         "forensics": bench_forensics_overhead(),
-        "engines": bench_engines(),
         "sweeps": bench_sweeps(workers=workers, full=full),
         "resilience": bench_resilience(workers=workers),
         "backends": bench_backends(workers=min(workers, 2)),

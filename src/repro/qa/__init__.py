@@ -3,10 +3,8 @@
 A seeded :class:`~repro.qa.fuzzer.ScenarioFuzzer` generates
 randomized-but-valid scenarios; the
 :class:`~repro.qa.differential.DifferentialRunner` executes each one
-across the engine matrix's equivalence classes (bit-identical:
-heap/calendar scheduler, scalar/window transmit, forensics on/off;
-statistical: packet/hybrid) under an
-:class:`~repro.qa.oracles.OracleSuite` of scenario-independent
+with flow forensics off and on (the two runs must be bit-identical)
+under an :class:`~repro.qa.oracles.OracleSuite` of scenario-independent
 invariants; violations are delta-debugged to minimal reproducers by
 the :class:`~repro.qa.shrink.Shrinker` and persisted as
 ``repro replay``-compatible crash capsules.  ``repro fuzz`` is the

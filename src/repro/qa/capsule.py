@@ -4,8 +4,8 @@ A violating scenario is persisted as a standard
 :class:`~repro.perf.resilience.CrashCapsule` whose cell function is
 :func:`check_scenario` below -- so ``repro replay <capsule>`` works on
 fuzz findings exactly as it does on sweep crashes: it re-executes the
-scenario across the engine matrix and exits 1 when the oracles still
-object, 0 once the bug is fixed.
+scenario across the differential matrix and exits 1 when the oracles
+still object, 0 once the bug is fixed.
 
 The same mechanism gives CI a **regression corpus**: shrunk capsules
 checked in under ``tests/corpus/`` are replayed by the test suite,
@@ -70,7 +70,6 @@ def check_scenario(spec: Dict[str, Any],
     return {
         "spec_key": scenario.key(),
         "variants_run": sorted(verdict.outcomes),
-        "skipped_classes": verdict.skipped,
     }
 
 

@@ -1,23 +1,15 @@
-"""Differential execution of one scenario across the engine matrix.
+"""Differential execution of one scenario: forensics off vs on.
 
-The matrix has a baseline (heap scheduler, scalar transmit, no
-forensics) and four comparison classes:
+The matrix has a baseline (no forensics) and one comparison class:
 
 ========== ============================== ======================
 class      variant                        contract
 ========== ============================== ======================
-scheduler  calendar-queue scheduler       bit-identical digest
-window     vectorized transmit windows    bit-identical digest
 forensics  FlowLedger attribution on      bit-identical digest
-hybrid     fluid elephants + packet mice  statistical (PR 7)
 ========== ============================== ======================
 
-Classes self-gate on the spec: ``window`` only runs when
-:attr:`~repro.qa.scenario.ScenarioSpec.window_exact` holds (see its
-docstring for the envelope) and ``hybrid`` only when
-:attr:`~repro.qa.scenario.ScenarioSpec.hybrid_eligible`.  Per-run
-oracles fire on every executed variant; pair oracles compare each
-non-baseline variant against the baseline.
+Per-run oracles fire on every executed variant; the pair oracle
+compares each non-baseline variant against the baseline.
 """
 
 from __future__ import annotations
@@ -33,17 +25,14 @@ from repro.qa.scenario import (
     run_scenario,
 )
 
-#: The full engine matrix, baseline first.
+#: The differential matrix, baseline first.
 MATRIX: Dict[str, Variant] = {
     "baseline": Variant("baseline"),
-    "scheduler": Variant("scheduler", scheduler="calendar"),
-    "window": Variant("window", window=8),
     "forensics": Variant("forensics", forensics=True),
-    "hybrid": Variant("hybrid", hybrid=True),
 }
 
 #: Matrix selections the CLI accepts.
-DEFAULT_CLASSES = ("scheduler", "window", "forensics", "hybrid")
+DEFAULT_CLASSES = ("forensics",)
 
 
 @dataclass
@@ -53,7 +42,6 @@ class Verdict:
     spec: ScenarioSpec
     violations: List[Violation] = field(default_factory=list)
     outcomes: Dict[str, ScenarioOutcome] = field(default_factory=dict)
-    skipped: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -74,7 +62,7 @@ class DifferentialRunner:
     Parameters
     ----------
     classes:
-        Comparison classes to exercise (default: all four).  The
+        Comparison classes to exercise (default: all).  The
         baseline always runs -- it is the reference side of every
         pair and the per-run oracles' primary subject.
     oracles:
@@ -95,17 +83,6 @@ class DifferentialRunner:
         self.classes = names
         self.oracles = oracles if oracles is not None else OracleSuite()
 
-    def applicable_classes(self, spec: ScenarioSpec) -> List[str]:
-        """The selected classes this spec's envelopes admit."""
-        out = []
-        for name in self.classes:
-            if name == "window" and not spec.window_exact:
-                continue
-            if name == "hybrid" and not spec.hybrid_eligible:
-                continue
-            out.append(name)
-        return out
-
     def run(self, spec: ScenarioSpec) -> Verdict:
         """Execute the spec across the matrix and check every oracle."""
         verdict = Verdict(spec=spec)
@@ -113,10 +90,7 @@ class DifferentialRunner:
         verdict.outcomes["baseline"] = base
         verdict.violations.extend(self.oracles.check_run(spec, base))
 
-        applicable = self.applicable_classes(spec)
-        verdict.skipped = [n for n in self.classes
-                           if n not in applicable]
-        for name in applicable:
+        for name in self.classes:
             outcome = run_scenario(spec, MATRIX[name])
             verdict.outcomes[name] = outcome
             verdict.violations.extend(

@@ -53,7 +53,6 @@ class FuzzReport:
     seed: int
     scenarios_run: int = 0
     violations: int = 0
-    skipped_pairs: int = 0
     elapsed_s: float = 0.0
     findings: List[FuzzFinding] = field(default_factory=list)
 
@@ -119,7 +118,6 @@ def run_fuzz(budget: Optional[int] = None,
                          faults=len(spec.faults))
         verdict = runner.run(spec)
         report.scenarios_run += 1
-        report.skipped_pairs += len(verdict.skipped)
         registry.counter("qa.fuzz.scenarios_total").inc()
         if verdict.ok:
             _emit_fuzz_event("scenario_ok", index=index,

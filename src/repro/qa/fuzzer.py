@@ -29,8 +29,7 @@ import numpy as np
 from repro.qa.scenario import ScenarioSpec, FlowSpec, FaultSpec, host_names, port_names
 
 #: Weights for how many of the four topologies come up; the
-#: single-switch star is the paper's workhorse and the only shape
-#: every matrix class (incl. hybrid) applies to, so it dominates.
+#: single-switch star is the paper's workhorse, so it dominates.
 _TOPOLOGY_WEIGHTS = (("single_switch", 0.4), ("dumbbell", 0.25),
                      ("parking_lot", 0.15), ("leaf_spine", 0.2))
 
@@ -45,8 +44,8 @@ _FAULT_PROBABILITY = 0.35
 _STAR_BUFFER_PROBABILITY = 0.2
 _STAR_PFC_PROBABILITY = 0.15
 
-#: Fraction of eligible scenarios turned into long-lived
-#: (hybrid-comparable) load instead of finite transfers.
+#: Fraction of eligible scenarios turned into long-lived DCQCN load
+#: instead of finite transfers.
 _LONG_LIVED_PROBABILITY = 0.15
 
 
@@ -93,9 +92,8 @@ class ScenarioFuzzer:
                       and buffer_kb is None and not pfc
                       and rng.random() < _LONG_LIVED_PROBABILITY)
         if long_lived:
-            # Long-lived load exists to exercise the hybrid class,
-            # which is only validated at the paper RED operating
-            # point on fast links (see ScenarioSpec.hybrid_eligible).
+            # Long-lived load runs at the paper RED operating point
+            # on fast links, the regime of the paper's Figs. 2 and 5.
             aqm = "red"
             aqm_args = {}
             if link_gbps < 10.0:
@@ -167,8 +165,8 @@ class ScenarioFuzzer:
                       ) -> Tuple[List[FlowSpec], float]:
         endpoints = self._flow_endpoints(rng, spec)
         if long_lived:
-            # Hybrid-comparable load: every sender runs a full-span
-            # DCQCN elephant; fixed horizon, no completion to wait on.
+            # Every sender runs a full-span DCQCN elephant; fixed
+            # horizon, no completion to wait on.
             flows = [FlowSpec("dcqcn", src, dst, None, 0.0)
                      for src, dst in endpoints]
             return flows, float(rng.uniform(0.01, 0.03))

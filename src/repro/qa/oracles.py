@@ -11,12 +11,9 @@ Two kinds of oracle:
   monitor), causal FCT attribution coverage when forensics ran, and
   -- on benign scenarios -- liveness (every finite flow completes).
 
-* **pair** -- cross-variant contracts of the engine matrix: the
-  bit-identical classes (heap vs calendar scheduler, scalar vs window
-  transmit, forensics on vs off) must agree on
-  :func:`~repro.qa.scenario.outcome_digest` exactly; the packet vs
-  hybrid class is statistical (tail-mean bottleneck queue within the
-  PR-7 tolerance of +/-50%).
+* **pair** -- forensics on vs off must agree on
+  :func:`~repro.qa.scenario.outcome_digest` exactly: attaching the
+  observation machinery never changes simulated behaviour.
 
 Every failed check is a :class:`Violation` naming the oracle, which
 the shrinker uses as its acceptance criterion (a candidate scenario
@@ -28,28 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.qa.scenario import ScenarioOutcome, ScenarioSpec, outcome_digest
 
 #: Minimum causal-attribution coverage for completed flows under
 #: forensics (the flow-forensics layer's own acceptance bar).
 MIN_ATTRIBUTED_SHARE = 0.95
-
-#: Statistical tolerance of the packet<->hybrid class: tail-mean
-#: bottleneck queue must agree within this relative error.
-HYBRID_QUEUE_RTOL = 0.5
-
-#: Tail window (fraction of the run) the hybrid comparison averages
-#: over, skipping the transient.
-HYBRID_TAIL_FRACTION = 0.5
-
-#: Absolute slack (bytes) on the hybrid comparison: near-empty
-#: queues sit where packet granularity (1 KB MTU) and discrete RED
-#: marking dominate, so relative error is meaningless below a few
-#: packets' worth of depth.  numpy-style combined tolerance:
-#: ``abs(got - ref) <= max(rtol * ref, atol)``.
-HYBRID_QUEUE_ATOL_BYTES = 16 * 1024.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,7 @@ class OracleSuite:
     PER_RUN = ("no_abort", "invariants_clean", "conservation",
                "monotone_time", "pool_leak", "pool_double_release",
                "liveness", "fct_attribution")
-    PAIR = ("bit_identical", "hybrid_statistical")
+    PAIR = ("bit_identical",)
 
     def __init__(self, skip: Optional[List[str]] = None):
         self.skip = frozenset(skip or ())
@@ -213,11 +193,6 @@ class OracleSuite:
     def check_pair(self, spec: ScenarioSpec, base: ScenarioOutcome,
                    other: ScenarioOutcome) -> List[Violation]:
         """Cross-variant contract between a baseline run and a peer."""
-        if other.variant.hybrid:
-            return self._check_hybrid(spec, base, other)
-        return self._check_identical(spec, base, other)
-
-    def _check_identical(self, spec, base, other) -> List[Violation]:
         if "bit_identical" in self.skip:
             return []
         if base.trace_truncated or other.trace_truncated:
@@ -241,32 +216,6 @@ class OracleSuite:
             variant=f"{base.variant.label()} vs "
                     f"{other.variant.label()}",
             details={"base_digest": da, "other_digest": db})]
-
-    def _check_hybrid(self, spec, base, other) -> List[Violation]:
-        if "hybrid_statistical" in self.skip:
-            return []
-        cut = HYBRID_TAIL_FRACTION * spec.duration
-        ref = _tail_mean(base.queue_samples, cut)
-        got = _tail_mean(other.queue_samples, cut)
-        err = abs(got - ref)
-        if err <= max(HYBRID_QUEUE_RTOL * ref,
-                      HYBRID_QUEUE_ATOL_BYTES):
-            return []
-        return [Violation(
-            oracle="hybrid_statistical",
-            message=f"tail-mean queue diverged: packet {ref:.0f}B vs "
-                    f"hybrid {got:.0f}B (abs err {err:.0f}B > "
-                    f"max({HYBRID_QUEUE_RTOL} * ref, "
-                    f"{HYBRID_QUEUE_ATOL_BYTES:.0f}B))",
-            variant=f"{base.variant.label()} vs "
-                    f"{other.variant.label()}",
-            details={"packet_tail_mean": ref, "hybrid_tail_mean": got,
-                     "absolute_error": err})]
-
-
-def _tail_mean(samples, cut: float) -> float:
-    tail = np.array([q for t, q in samples if t >= cut], dtype=float)
-    return float(tail.mean()) if tail.size else 0.0
 
 
 def _first_divergence(base: ScenarioOutcome,

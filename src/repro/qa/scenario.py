@@ -1,11 +1,11 @@
-"""Scenario specs and the engine-matrix scenario executor.
+"""Scenario specs and the scenario executor.
 
 A :class:`ScenarioSpec` is a *declarative, JSON-serializable* recipe
 for one randomized conformance scenario: topology shape, traffic,
 protocol parameter overrides, AQM profile and an optional fault plan.
 Everything the run needs is derived deterministically from the spec
 (markers and fault injectors are seeded from ``spec.seed``), so the
-same spec replayed under the same engine variant produces the same
+same spec replayed under the same variant produces the same
 trace bit-for-bit -- which is exactly what lets
 :mod:`repro.qa.differential` compare variants and
 :mod:`repro.qa.shrink` binary-search a failure down to a minimal
@@ -22,8 +22,8 @@ the ranges the simulator's components are specified for:
   1-2 spines, 1-4 hosts/leaf);
 * links: 1-100 Gbps, 1-20 us delay;
 * traffic: 1-16 finite flows of 4 KB - 1 MB with start jitter inside
-  ``[0, duration/4)``, or (hybrid-eligible specs only) long-lived
-  flows;
+  ``[0, duration/4)``, or long-lived DCQCN flows on the RED-marked
+  star;
 * AQM: RED with ``0 < kmin < kmax`` and ``0 < pmax <= 1``, or PI with
   a positive reference queue, both expressed in KB of queue;
 * parameter overrides: any values the frozen dataclasses in
@@ -34,7 +34,7 @@ the ranges the simulator's components are specified for:
   every transient settles before the end-of-run oracles fire.
 
 The executor (:func:`run_scenario`) runs one spec under one
-:class:`Variant` of the engine matrix and returns a structured
+:class:`Variant` (forensics off or on) and returns a structured
 :class:`ScenarioOutcome`; :func:`outcome_digest` reduces the
 behaviour-defining parts (trace stream, flow completions, port
 counters) to a hash that bit-identical variants must agree on.
@@ -98,11 +98,6 @@ MAX_EVENTS = 3_000_000
 #: Wall-clock watchdog per scenario run, seconds.
 MAX_WALL_SECONDS = 120.0
 
-#: Paper-default RED operating point (Section 3 convention); the
-#: packet<->hybrid statistical contract is validated here.
-PAPER_RED = {"kmin_kb": 5.0, "kmax_kb": 200.0, "pmax": 0.01}
-
-
 @dataclass(frozen=True)
 class FlowSpec:
     """One flow of a scenario (src/dst are topology host names)."""
@@ -110,7 +105,7 @@ class FlowSpec:
     protocol: str
     src: str
     dst: str
-    size_bytes: Optional[int]     #: None = long-lived (hybrid specs)
+    size_bytes: Optional[int]     #: None = long-lived
     start_time: float = 0.0
 
     def to_dict(self) -> dict:
@@ -183,23 +178,13 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class Variant:
-    """One point of the engine matrix a scenario runs under."""
+    """One point of the differential matrix a scenario runs under."""
 
     name: str = "baseline"
-    scheduler: str = "heap"         #: heap | calendar
-    window: Optional[int] = None    #: batch_window on every port
     forensics: bool = False         #: attach a FlowLedger
-    hybrid: bool = False            #: fluid elephants (statistical)
 
     def label(self) -> str:
-        parts = [self.scheduler]
-        if self.window:
-            parts.append(f"window{self.window}")
-        if self.forensics:
-            parts.append("forensics")
-        if self.hybrid:
-            parts.append("hybrid")
-        return "+".join(parts)
+        return "forensics" if self.forensics else "baseline"
 
 
 @dataclass(frozen=True)
@@ -280,83 +265,6 @@ class ScenarioSpec:
     def long_lived(self) -> bool:
         """True when any flow has no size (runs for the whole span)."""
         return any(f.size_bytes is None for f in self.flows)
-
-    @property
-    def window_exact(self) -> bool:
-        """Whether the scalar<->window bit-identical class applies.
-
-        Rate-paced senders (DCQCN, TIMELY, patched TIMELY) emit one
-        packet per pacing tick, so their NIC FIFOs never hold a
-        multi-packet backlog and transmit windows only form at switch
-        egresses -- where they drain in FIFO order and stay
-        bit-identical to the scalar path.  DCTCP is *window*-paced:
-        its cwnd bursts queue at the NIC, drain as vectorized windows
-        and arrive at the next switch atomically, which legitimately
-        reorders the downstream multiplex relative to per-packet
-        interleaving.  Scenarios with any DCTCP flow are therefore
-        compared without the window variant.
-
-        The second exclusion is NICs that multiplex more than one
-        stream: a host sourcing two flows (their data interleaves in
-        one FIFO, and drain windows are per-flow runs delivered
-        atomically) or a host that both sends one flow's data and
-        terminates another (the reverse-path ACKs land mid-window and
-        get served one serialization slot later than in the scalar
-        interleave).  Shared *destinations* are fine -- a pure
-        receiver's NIC carries only control traffic, which never
-        forms transmit windows.
-
-        PFC is excluded for the same mid-window reason: a PAUSE
-        cannot interrupt a window whose serialization is already
-        committed, while the scalar path stops after the in-flight
-        packet.  Finite buffers *without* PFC stay exact -- tail
-        drops happen at enqueue time, not service time.
-
-        Finally, multi-flow scenarios need an AQM: a marker keeps the
-        contended switch egress on the scalar path (ports with a
-        marker are not window-capable), while an unmarked converging
-        egress batches the multiplex -- and a flow whose completing
-        packet lands mid-window gets its completion stamped at the
-        window boundary, one serialization slot late.  A single flow
-        never backlogs an unmarked egress (one input, one output,
-        equal rates), so ``aqm == "none"`` stays exact there.
-        """
-        srcs = [f.src for f in self.flows]
-        dsts = {f.dst for f in self.flows}
-        return (all(f.protocol != "dctcp" for f in self.flows)
-                and len(set(srcs)) == len(srcs)
-                and not (set(srcs) & dsts)
-                and not self.pfc
-                and (self.aqm != "none" or len(self.flows) <= 1))
-
-    @property
-    def hybrid_eligible(self) -> bool:
-        """Whether the packet<->hybrid statistical class applies.
-
-        Structurally, the hybrid coupler models long-lived DCQCN
-        elephants against a single RED-marked bottleneck and rejects
-        PFC, so only that shape can be cross-checked against the
-        fluid view.  On top of that the class only claims its +/-50%
-        tail-mean tolerance inside the *validated operating
-        envelope*: paper-default RED thresholds and >= 10 Gbps links
-        (measured relative error <= 0.30 there; at 1 Gbps or exotic
-        RED settings the fluid approximation legitimately departs
-        from packet truth by more than the contract).
-        """
-        red_ok = all(self.aqm_args.get(key, val) == val
-                     for key, val in PAPER_RED.items())
-        return (self.topology == "single_switch"
-                and self.aqm == "red"
-                and red_ok
-                and self.link_gbps >= 10.0
-                and not self.pfc
-                and self.buffer_kb is None
-                and not self.faults
-                and len(self.flows) > 0
-                and all(f.protocol == "dcqcn"
-                        and f.size_bytes is None
-                        and f.start_time == 0.0
-                        for f in self.flows))
 
     def validate(self) -> None:
         """Raise ``ValueError`` when outside the documented envelope."""
@@ -541,7 +449,7 @@ def _make_marker(spec: ScenarioSpec, index: int) -> Optional[object]:
     raise ValueError(f"unknown aqm {spec.aqm!r}")
 
 
-def _build_star_pfc(spec: ScenarioSpec, engine: str) -> Network:
+def _build_star_pfc(spec: ScenarioSpec) -> Network:
     """single_switch star with a finite buffer and/or PFC.
 
     The stock builder models infinite buffers; finite-buffer and PFC
@@ -549,8 +457,7 @@ def _build_star_pfc(spec: ScenarioSpec, engine: str) -> Network:
     bottleneck egress, PAUSE callbacks onto the sender NICs) so the
     PFC-pairing oracle has something to bite on.
     """
-    from repro.sim.topology import _make_simulator
-    sim = _make_simulator(engine)
+    sim = Simulator()
     rate = spec.link_gbps * 1e9 / units.BITS_PER_BYTE
     delay = units.us(spec.link_delay_us)
     n = spec.topology_args.get("n_senders", 2)
@@ -586,34 +493,31 @@ def _build_star_pfc(spec: ScenarioSpec, engine: str) -> Network:
     return Network(sim=sim, hosts=hosts, switches={"sw": switch},
                    registry=FlowRegistry(), bottleneck_port=bottleneck,
                    mtu_bytes=units.DEFAULT_MTU_BYTES,
-                   link_rate_bytes=rate, engine=engine)
+                   link_rate_bytes=rate)
 
 
-def build_network(spec: ScenarioSpec, engine: str = "heap") -> Network:
-    """Build the spec's topology under the given scheduler backend."""
+def build_network(spec: ScenarioSpec) -> Network:
+    """Build the spec's topology."""
     delay = units.us(spec.link_delay_us)
     args = spec.topology_args
     if spec.topology == "single_switch":
         if spec.pfc or spec.buffer_kb is not None:
-            return _build_star_pfc(spec, engine)
+            return _build_star_pfc(spec)
         return single_switch(args.get("n_senders", 2),
                              link_gbps=spec.link_gbps,
                              link_delay=delay,
-                             marker=_make_marker(spec, 0),
-                             engine=engine)
+                             marker=_make_marker(spec, 0))
     if spec.topology == "dumbbell":
         return dumbbell(args.get("n_pairs", 2),
                         link_gbps=spec.link_gbps,
                         link_delay=delay,
-                        marker=_make_marker(spec, 0),
-                        engine=engine)
+                        marker=_make_marker(spec, 0))
     if spec.topology == "parking_lot":
         return parking_lot(args.get("n_segments", 2),
                            link_gbps=spec.link_gbps,
                            link_delay=delay,
                            marker_factory=lambda i:
-                               _make_marker(spec, i),
-                           engine=engine)
+                               _make_marker(spec, i))
     if spec.topology == "leaf_spine":
         counter = iter(range(1, 1_000_000))
         return leaf_spine(n_leaves=args.get("n_leaves", 2),
@@ -625,8 +529,7 @@ def build_network(spec: ScenarioSpec, engine: str = "heap") -> Network:
                           marker_factory=(
                               (lambda: _make_marker(spec,
                                                     next(counter)))
-                              if spec.aqm != "none" else None),
-                          engine=engine)
+                              if spec.aqm != "none" else None))
     raise ValueError(f"unknown topology {spec.topology!r}")
 
 
@@ -655,10 +558,7 @@ class ScenarioOutcome:
 
 def run_scenario(spec: ScenarioSpec,
                  variant: Variant = Variant()) -> ScenarioOutcome:
-    """Execute one spec under one engine-matrix variant."""
-    if variant.hybrid and not spec.hybrid_eligible:
-        raise ValueError(
-            "hybrid variant requested for a non-hybrid-eligible spec")
+    """Execute one spec under one variant."""
     ledger = FlowLedger() if variant.forensics else None
     with use_ledger(ledger):
         return _run_scenario_inner(spec, variant, ledger)
@@ -667,16 +567,9 @@ def run_scenario(spec: ScenarioSpec,
 def _run_scenario_inner(spec: ScenarioSpec, variant: Variant,
                         ledger: Optional[FlowLedger]
                         ) -> ScenarioOutcome:
-    engine = "hybrid" if variant.hybrid else variant.scheduler
-    net = build_network(spec, engine=engine)
+    net = build_network(spec)
     attach_flow_forensics(net, context=f"qa-{spec.key()}")
     ports = collect_ports(net)
-
-    if variant.window is not None:
-        for port in ports.values():
-            # Plain attribute on an already-validated port;
-            # structural eligibility still self-gates per packet.
-            port.batch_window = max(2, int(variant.window))
 
     tracer = PacketTracer(net.sim, max_events=400_000)
     for name in sorted(ports):
@@ -689,29 +582,17 @@ def _run_scenario_inner(spec: ScenarioSpec, variant: Variant,
 
     aborted = None
     with PACKET_POOL.debug_session() as pool:
-        coupler = None
-        if variant.hybrid:
-            from repro.sim.hybrid import attach_hybrid
-            params = resolve_params(spec, "dcqcn")
-            coupler = attach_hybrid(net, params)
-        else:
-            for fs in spec.flows:
-                install_flow(net, fs.protocol, fs.src, fs.dst,
-                             fs.size_bytes, fs.start_time,
-                             resolve_params(spec, fs.protocol))
+        for fs in spec.flows:
+            install_flow(net, fs.protocol, fs.src, fs.dst,
+                         fs.size_bytes, fs.start_time,
+                         resolve_params(spec, fs.protocol))
 
         samples: List[Tuple[float, int]] = []
-        if coupler is not None:
-            # The elephants' backlog lives in the fluid state; the
-            # statistical oracle compares total queue to the packet
-            # engine's FIFO occupancy.
-            queue_bytes = lambda: coupler.total_queue_bytes  # noqa: E731
-        else:
-            queue_bytes = lambda: \
-                net.bottleneck_port.queue.size_bytes  # noqa: E731
+        bottleneck = net.bottleneck_port
         net.sim.sample_every(
             max(spec.duration / 256.0, 1e-6),
-            lambda now: samples.append((now, queue_bytes())))
+            lambda now: samples.append(
+                (now, bottleneck.queue.size_bytes)))
         # After install: the monitor snapshots net.senders.
         monitor = InvariantMonitor.for_network(
             net, interval=max(spec.duration / 64.0, 1e-6))
@@ -804,8 +685,7 @@ def _collect_flows(net: Network) -> List[dict]:
 def outcome_digest(outcome: ScenarioOutcome) -> str:
     """Hash of the behaviour-defining parts of an outcome.
 
-    Bit-identical variants (scheduler backends, scalar vs window
-    transmit, forensics on/off) must agree on this digest: the full
+    Forensics off and on must agree on this digest: the full
     per-packet trace stream (exact float stamps), every flow's byte
     totals and completion time, and the per-port counters.  Pool and
     forensic bookkeeping are deliberately excluded -- they vary with

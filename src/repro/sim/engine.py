@@ -26,14 +26,6 @@ import time as _time
 from typing import Any, Callable, Optional
 
 from repro.obs import metrics as _metrics
-from repro.sim.scheduler import CalendarScheduler
-
-#: Pending-set backends selectable on :class:`Simulator`.  ``"heap"``
-#: is the original binary heap and serves as the oracle;``"calendar"``
-#: is the :class:`~repro.sim.scheduler.CalendarScheduler`, bit-for-bit
-#: equivalent in serve order (same ``(time, seq)`` contract) but with
-#: O(1) pushes for the far-future common case.
-SCHEDULERS = ("heap", "calendar")
 
 #: How many events to process between wall-clock watchdog checks.
 #: ``time.monotonic()`` is cheap but not free; the event loop runs
@@ -144,31 +136,13 @@ class PeriodicSampler:
 
 
 class Simulator:
-    """Event-driven simulation clock and scheduler.
+    """Event-driven simulation clock and scheduler."""
 
-    ``scheduler`` selects the pending-set backend (:data:`SCHEDULERS`).
-    The default binary heap is the determinism oracle; the calendar
-    backend serves the exact same order (property-tested) with a cost
-    profile tuned for near-monotone horizons.  Everything else --
-    watchdogs, ``stop``/resume, cancellation, telemetry -- behaves
-    identically on both.
-    """
+    __slots__ = ("_now", "_heap", "_sequence", "_running", "_processed")
 
-    __slots__ = ("_now", "_heap", "_cal", "_sequence", "_running",
-                 "_processed", "scheduler")
-
-    def __init__(self, scheduler: str = "heap"):
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, "
-                f"got {scheduler!r}")
+    def __init__(self):
         self._now = 0.0
-        self.scheduler = scheduler
-        # Exactly one backend is active; the heap path keeps its
-        # original no-indirection hot loop (it is the oracle).
         self._heap: list = []
-        self._cal: Optional[CalendarScheduler] = (
-            CalendarScheduler() if scheduler == "calendar" else None)
         self._sequence = itertools.count()
         self._running = False
         self._processed = 0
@@ -186,8 +160,6 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Scheduled events not yet executed (incl. cancelled)."""
-        if self._cal is not None:
-            return len(self._cal)
         return len(self._heap)
 
     def schedule(self, delay: float, callback: Callable[..., Any],
@@ -197,10 +169,7 @@ class Simulator:
             raise ValueError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
         event = Event(time, callback, args)
-        if self._cal is None:
-            heapq.heappush(self._heap, (time, next(self._sequence), event))
-        else:
-            self._cal.push((time, next(self._sequence), event))
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
@@ -210,10 +179,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now={self._now}")
         event = Event(time, callback, args)
-        if self._cal is None:
-            heapq.heappush(self._heap, (time, next(self._sequence), event))
-        else:
-            self._cal.push((time, next(self._sequence), event))
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
         return event
 
     def sample_every(self, interval: float,
@@ -253,8 +219,6 @@ class Simulator:
             simulations that make sim-time progress but will never
             finish within a usable budget.
         """
-        if self._cal is not None:
-            return self._run_calendar(until, max_events, max_wall_seconds)
         self._running = True
         processed = 0
         heap = self._heap
@@ -325,124 +289,10 @@ class Simulator:
             registry.counter("sim.engine.events_total").inc(processed)
             registry.gauge("sim.engine.pending_events").set(len(heap))
             registry.gauge("sim.engine.sim_time_s").set(self._now)
-            self._publish_scheduler_metrics(registry, processed,
-                                            _time.monotonic()
-                                            - wall_begin)
-
-    def _run_calendar(self, until: Optional[float],
-                      max_events: Optional[int],
-                      max_wall_seconds: Optional[float]) -> None:
-        """The :meth:`run` loop over the calendar backend.
-
-        Mirrors the heap loop's structure and guarantees exactly --
-        same watchdogs, same ``finally`` resumability contract, same
-        telemetry -- but serves events by advancing a cursor through
-        the scheduler's sorted window instead of heap pops.  The
-        window list object is stable, so it is bound once; only the
-        cursor is re-read (callbacks push events, which may grow the
-        window in place).
-        """
-        self._running = True
-        processed = 0
-        cal = self._cal
-        near = cal._near
-        advance = cal._advance
-        wall_begin = _time.monotonic()
-        wall_start = wall_begin if max_wall_seconds is not None \
-            else None
-        watchdogs = max_events is not None or wall_start is not None
-        try:
-            if not watchdogs:
-                while self._running:
-                    cursor = cal._cursor
-                    if cursor >= len(near):
-                        if not advance():
-                            break
-                        cursor = 0
-                    item = near[cursor]
-                    time = item[0]
-                    if until is not None and time > until:
-                        break
-                    # The cursor must be committed before the callback
-                    # runs: pushes into the open window use it as the
-                    # bisect lower bound.
-                    cal._cursor = cursor + 1
-                    event = item[2]
-                    if event.cancelled:
-                        continue
-                    self._now = time
-                    event.callback(*event.args)
-                    processed += 1
-            else:
-                while self._running:
-                    cursor = cal._cursor
-                    if cursor >= len(near):
-                        if not advance():
-                            break
-                        cursor = 0
-                    item = near[cursor]
-                    time = item[0]
-                    if until is not None and time > until:
-                        break
-                    cal._cursor = cursor + 1
-                    event = item[2]
-                    if event.cancelled:
-                        continue
-                    self._now = time
-                    event.callback(*event.args)
-                    processed += 1
-                    if max_events is not None and \
-                            processed >= max_events:
-                        raise self._abort(
-                            "max_events", processed, len(cal),
-                            f"exceeded max_events={max_events}")
-                    if wall_start is not None and \
-                            processed % WALL_CHECK_STRIDE == 0 and \
-                            _time.monotonic() - wall_start \
-                            > max_wall_seconds:
-                        raise self._abort(
-                            "wall_clock", processed, len(cal),
-                            f"exceeded max_wall_seconds="
-                            f"{max_wall_seconds}")
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._processed += processed
-            self._running = False
-            registry = _metrics.get_registry()
-            registry.counter("sim.engine.runs_total").inc()
-            registry.counter("sim.engine.events_total").inc(processed)
-            registry.gauge("sim.engine.pending_events").set(len(cal))
-            registry.gauge("sim.engine.sim_time_s").set(self._now)
-            self._publish_scheduler_metrics(registry, processed,
-                                            _time.monotonic()
-                                            - wall_begin)
-
-    def _publish_scheduler_metrics(self, registry, processed: int,
-                                   wall_s: float) -> None:
-        """Per-run scheduler telemetry (one publish per ``run`` call,
-        never per event): which backend ran, its lifetime event
-        count, per-run throughput, and -- on the calendar backend --
-        the wheel internals (adaptive width, occupancy, rehash and
-        overflow-spill counts) that make engine choice visible in
-        telemetry, not just in bench JSON."""
-        registry.counter(
-            f"sim.scheduler.{self.scheduler}_runs_total").inc()
-        registry.gauge("sim.scheduler.events_processed").set(
-            self._processed)
-        if processed and wall_s > 0:
-            registry.gauge("sim.engine.events_per_sec").set(
-                processed / wall_s)
-        if self._cal is not None:
-            stats = self._cal.stats()
-            registry.gauge("sim.scheduler.width_s").set(
-                stats["width_s"])
-            registry.gauge("sim.scheduler.buckets").set(
-                stats["buckets"])
-            registry.gauge("sim.scheduler.rehashes").set(
-                stats["rehashes"])
-            registry.gauge("sim.scheduler.spills").set(
-                stats["spills"])
+            wall_s = _time.monotonic() - wall_begin
+            if processed and wall_s > 0:
+                registry.gauge("sim.engine.events_per_sec").set(
+                    processed / wall_s)
 
     def _abort_metrics(self, reason: str) -> None:
         """Count a watchdog abort (rare path, outside the fast loop)."""

@@ -20,10 +20,11 @@ import hashlib
 from typing import Callable, Dict, List, Optional
 
 from repro import units
+from repro.sim.engine import Simulator
 from repro.sim.flows import FlowRegistry
 from repro.sim.node import Host
 from repro.sim.switch import Switch, connect
-from repro.sim.topology import Network, _make_simulator
+from repro.sim.topology import Network
 
 
 def host_name(leaf: int, index: int) -> str:
@@ -44,8 +45,8 @@ def leaf_spine(n_leaves: int = 4,
                spine_gbps: float = 10.0,
                link_delay: float = units.us(1),
                mtu_bytes: int = units.DEFAULT_MTU_BYTES,
-               marker_factory: Optional[Callable[[], object]] = None,
-               engine: str = "heap") -> Network:
+               marker_factory: Optional[Callable[[], object]] = None
+               ) -> Network:
     """Build the fabric and install hash-based spine selection.
 
     ``marker_factory() -> marker`` supplies a fresh AQM marker for
@@ -55,8 +56,6 @@ def leaf_spine(n_leaves: int = 4,
     The returned network's ``bottleneck_port`` is the first leaf's
     first uplink (a representative contended port); per-port counters
     on every switch remain accessible through ``net.switches``.
-    ``engine`` selects the scheduler backend exactly as in
-    :func:`repro.sim.topology.single_switch`.
     """
     if n_leaves < 2:
         raise ValueError(f"need at least 2 leaves, got {n_leaves}")
@@ -66,7 +65,7 @@ def leaf_spine(n_leaves: int = 4,
         raise ValueError(
             f"need at least 1 host per leaf, got {hosts_per_leaf}")
 
-    sim = _make_simulator(engine)
+    sim = Simulator()
     host_rate = host_gbps * 1e9 / units.BITS_PER_BYTE
     spine_rate = spine_gbps * 1e9 / units.BITS_PER_BYTE
 
@@ -117,8 +116,7 @@ def leaf_spine(n_leaves: int = 4,
     return Network(sim=sim, hosts=hosts, switches=switches,
                    registry=FlowRegistry(),
                    bottleneck_port=first_uplink,
-                   mtu_bytes=mtu_bytes, link_rate_bytes=host_rate,
-                   engine=engine)
+                   mtu_bytes=mtu_bytes, link_rate_bytes=host_rate)
 
 
 def _spine_names(net: Network) -> List[str]:

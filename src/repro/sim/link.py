@@ -16,57 +16,18 @@ ECN marking points (Section 5.2 of the paper):
   arrival occupancy; by the time the packet leaves (and the mark
   travels on), the information is one queuing delay stale.  This
   reproduces the Fig. 17 instability.
-
-Batched windows (``batch_window=N``)
-------------------------------------
-
-The per-packet path costs two events per packet per hop (finish +
-delivery).  With ``batch_window`` set, an *eligible* port instead
-serializes a whole window -- a :class:`~repro.sim.packet.PacketBatch`
-handed to :meth:`Port.send_batch`, or up to ``N`` queued packet
-objects -- in one vectorized step: per-packet finish times come from
-one ``np.add.accumulate`` (bit-identical to the sequential
-``t += size/rate`` recurrence, which floats left-fold the same way),
-and the window travels as **one** finish event plus **one** delivery
-event carrying exact per-packet arrival timestamps.
-
-Eligibility is structural, checked per window: no AQM marker, no
-strict-priority control queue, not paused, a downstream that
-implements ``receive_window``, and no ``on_transmit`` hook *unless*
-an ``on_transmit_window`` companion is installed (monitors that
-understand windows -- the packet tracer -- chain both and keep the
-vectorized path; PFC switches install only the scalar hooks and stay
-exact).  ``on_drop`` never affects eligibility: drops happen at
-enqueue time in :meth:`Port.send`, which the window path bypasses
-only when no drop-tail capacity is configured.  Anything else falls
-back to the exact per-packet path -- a port with
-``batch_window=None`` (the default) never batches at all, which is
-what keeps the paper experiments bit-identical to the oracle.
-
-The semantic trade, documented for hybrid/throughput scenarios that
-opt in: per-packet *times* stay exact, but downstream *processing* of
-a window is coalesced at its last arrival, and a PAUSE landing
-mid-window takes effect only at the window boundary (bounded by
-``batch_window`` packets).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.queues import ByteFIFO
 
 #: Valid marking points for ports with an AQM marker attached.
 MARKING_POINTS = ("egress", "ingress")
-
-#: Minimum queued-object backlog worth draining as a window; below
-#: this the scalar path's two events are no worse than a window's.
-MIN_DRAIN = 2
 
 
 class Link:
@@ -95,20 +56,6 @@ class Link:
         self.sim.schedule(self.delay, self.dst.receive, packet,
                           self.ingress_label)
 
-    def deliver_window(self, payload, finish_times) -> None:
-        """Deliver a serialized window as one event.
-
-        ``payload`` is a :class:`~repro.sim.packet.PacketBatch` or a
-        list of packet objects; ``finish_times`` are the per-packet
-        serialization-finish stamps.  The downstream's
-        ``receive_window(payload, arrival_times, ingress)`` fires at
-        the *last* arrival with every per-packet arrival time exact
-        (``finish + delay``, the same float op the scalar path does).
-        """
-        arrivals = finish_times + self.delay
-        self.sim.schedule_at(float(arrivals[-1]), self.dst.receive_window,
-                             payload, arrivals, self.ingress_label)
-
 
 class Port:
     """Egress port: FIFO + line-rate serializer + optional AQM marker."""
@@ -117,16 +64,14 @@ class Port:
                  "queue", "priority_control", "control_queue", "name",
                  "busy", "paused", "bytes_transmitted",
                  "packets_transmitted", "ecn_marks", "on_transmit",
-                 "on_transmit_window", "on_drop", "batch_window",
-                 "_batch_backlog", "_dst_batched", "ledger")
+                 "on_drop", "ledger")
 
     def __init__(self, sim: Simulator, rate_bytes_per_s: float,
                  link: Link, marker: Optional[object] = None,
                  marking_point: str = "egress",
                  capacity_bytes: Optional[int] = None,
                  name: str = "port",
-                 priority_control: bool = False,
-                 batch_window: Optional[int] = None):
+                 priority_control: bool = False):
         if rate_bytes_per_s <= 0:
             raise ValueError(
                 f"rate must be positive, got {rate_bytes_per_s}")
@@ -134,10 +79,6 @@ class Port:
             raise ValueError(
                 f"marking_point must be one of {MARKING_POINTS}, "
                 f"got {marking_point!r}")
-        if batch_window is not None and batch_window < MIN_DRAIN:
-            raise ValueError(
-                f"batch_window must be >= {MIN_DRAIN} or None, "
-                f"got {batch_window}")
         self.sim = sim
         self.rate = rate_bytes_per_s
         self.link = link
@@ -159,12 +100,6 @@ class Port:
         #: Hook called when a packet finishes serialization (monitors,
         #: PFC accounting).  Signature: ``fn(packet)``.
         self.on_transmit: Optional[Callable[[Packet], None]] = None
-        #: Window-aware companion to ``on_transmit``: called once per
-        #: serialized window with ``fn(payload, finish_times)`` where
-        #: ``payload`` is a PacketBatch or a list of packets.  A port
-        #: with ``on_transmit`` set stays window-capable only when
-        #: this is also set (see :meth:`_window_capable`).
-        self.on_transmit_window: Optional[Callable] = None
         #: Hook called when the (finite) queue drops a packet, so
         #: switch-level accounting can release the buffered bytes.
         self.on_drop: Optional[Callable[[Packet], None]] = None
@@ -172,14 +107,6 @@ class Port:
         #: whenever forensics is off, and every call site guards on
         #: that so the off path costs one attribute load per event.
         self.ledger = None
-        #: Max packets serialized per vectorized window; None disables
-        #: batching entirely (the exact per-packet path).
-        self.batch_window = batch_window
-        #: FIFO of accepted :class:`PacketBatch` windows.  A batch is
-        #: accepted only while the scalar queue is empty, so backlog
-        #: order is arrival order.
-        self._batch_backlog: deque = deque()
-        self._dst_batched: Optional[bool] = None
         if marker is not None and marker.update_interval is not None:
             self._schedule_marker_update(marker.update_interval)
 
@@ -191,99 +118,11 @@ class Port:
 
     @property
     def occupancy_bytes(self) -> int:
-        """Egress backlog, bytes (excluding packets on the wire).
-
-        Batched windows count as "on the wire" for their whole span:
-        the drain empties the FIFO at window start, exactly as the
-        scalar path excludes its single in-flight packet.
-        """
+        """Egress backlog, bytes (excluding the packet on the wire)."""
         total = self.queue.size_bytes
         if self.control_queue is not None:
             total += self.control_queue.size_bytes
-        for batch in self._batch_backlog:
-            total += batch.total_bytes
         return total
-
-    # -- batched path ---------------------------------------------------------
-
-    def _window_capable(self) -> bool:
-        """Structural eligibility for the vectorized window path."""
-        if self.batch_window is None or self.marker is not None or \
-                self.control_queue is not None:
-            return False
-        if self.on_transmit is not None and \
-                self.on_transmit_window is None:
-            # A scalar-only monitor (PFC egress accounting) must see
-            # every packet; window-aware monitors chain both hooks
-            # and keep the vectorized path.
-            return False
-        if self._dst_batched is None:
-            self._dst_batched = hasattr(self.link.dst, "receive_window")
-        return self._dst_batched
-
-    def send_batch(self, batch: PacketBatch) -> None:
-        """Enqueue a whole :class:`PacketBatch` for transmission.
-
-        Accepted onto the vectorized path only when the port is
-        structurally eligible, the scalar FIFO is empty (so windows
-        and packets keep FIFO order), and no drop-tail capacity is
-        configured (the batch bypasses the FIFO's accounting).
-        Otherwise the batch is materialized through the exact
-        per-packet :meth:`send` path.
-        """
-        if self._window_capable() and self.queue.is_empty and \
-                self.queue.capacity_bytes is None:
-            if self.ledger is not None:
-                self.ledger.on_batch_enqueue(self, batch)
-            self._batch_backlog.append(batch)
-            if not self.busy and not self.paused:
-                self._start_batch_window()
-            return
-        for packet in batch.packets():
-            self.send(packet)
-
-    def _finish_times(self, sizes: np.ndarray) -> np.ndarray:
-        """Per-packet serialization-finish stamps for a window.
-
-        ``np.add.accumulate`` left-folds exactly like the sequential
-        scalar recurrence ``t = t + size/rate``, so these stamps are
-        bit-identical to what the per-packet path would produce.
-        """
-        steps = np.empty(len(sizes) + 1)
-        steps[0] = self.sim.now
-        np.divide(sizes, self.rate, out=steps[1:])
-        return np.add.accumulate(steps)[1:]
-
-    def _start_batch_window(self) -> None:
-        batch = self._batch_backlog.popleft()
-        finishes = self._finish_times(batch.size_bytes)
-        self.busy = True
-        self.sim.schedule_at(float(finishes[-1]), self._finish_window,
-                             batch, finishes, batch.total_bytes,
-                             batch.count)
-
-    def _start_drain_window(self) -> None:
-        window, total = self.queue.dequeue_window(self.batch_window)
-        sizes = np.fromiter((p.size_bytes for p in window),
-                            dtype=np.float64, count=len(window))
-        finishes = self._finish_times(sizes)
-        self.busy = True
-        self.sim.schedule_at(float(finishes[-1]), self._finish_window,
-                             window, finishes, total, len(window))
-
-    def _finish_window(self, payload, finishes, total_bytes: int,
-                       count: int) -> None:
-        self.busy = False
-        self.bytes_transmitted += total_bytes
-        self.packets_transmitted += count
-        if self.on_transmit_window is not None:
-            self.on_transmit_window(payload, finishes)
-        if self.ledger is not None:
-            self.ledger.on_window(self, payload, finishes)
-        self.link.deliver_window(payload, finishes)
-        self._maybe_start()
-
-    # -- exact per-packet path ------------------------------------------------
 
     def send(self, packet: Packet) -> None:
         """Enqueue for transmission, applying ingress-point marking.
@@ -348,26 +187,10 @@ class Port:
         return None
 
     def _maybe_start(self) -> None:
-        """Start the next transmission, window or packet, if any.
-
-        Accepted batch windows always precede the scalar FIFO (they
-        were accepted while it was empty, so they are older).  A deep
-        enough scalar backlog on an eligible port is drained as a
-        vectorized window too; otherwise the exact single-packet
-        serializer runs.
-        """
-        if self._batch_backlog:
-            if not self.paused:
-                self._start_batch_window()
-            return
+        """Start the next transmission, if any packet is serviceable."""
         source = self._serviceable_queue()
-        if source is None:
-            return
-        if source is self.queue and len(source) >= MIN_DRAIN and \
-                self._window_capable():
-            self._start_drain_window()
-            return
-        self._transmit_from(source)
+        if source is not None:
+            self._transmit_from(source)
 
     def _transmit_from(self, source: ByteFIFO) -> None:
         """Dequeue from ``source`` and put the packet on the wire.
@@ -428,11 +251,6 @@ class Port:
         if self.ledger is not None:
             self.ledger.on_departure(self, packet)
         self.link.deliver(packet)
-        if self.batch_window is None and not self._batch_backlog:
-            # Exact-path fast tail: queue selection only, no window
-            # eligibility checks on the per-packet hot loop.
-            source = self._serviceable_queue()
-            if source is not None:
-                self._transmit_from(source)
-            return
-        self._maybe_start()
+        source = self._serviceable_queue()
+        if source is not None:
+            self._transmit_from(source)

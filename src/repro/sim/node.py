@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Port
-from repro.sim.packet import PACKET_POOL, Packet, PacketBatch
+from repro.sim.packet import PACKET_POOL, Packet
 
 
 class Host:
@@ -71,12 +71,6 @@ class Host:
             raise RuntimeError(f"{self.name} has no NIC attachment")
         self.port.send(packet)
 
-    def send_batch(self, batch: PacketBatch) -> None:
-        """Hand a whole batch to the NIC (vectorized when eligible)."""
-        if self.port is None:
-            raise RuntimeError(f"{self.name} has no NIC attachment")
-        self.port.send_batch(batch)
-
     def receive(self, packet: Packet, ingress: Optional[str] = None) -> None:
         """Dispatch an arriving packet to the matching flow agent.
 
@@ -111,39 +105,3 @@ class Host:
                 f"{self.name} cannot handle packet kind {packet.kind!r}")
         if packet.pooled:
             PACKET_POOL.release(packet)
-
-    def receive_window(self, payload, arrival_times,
-                       ingress: Optional[str] = None) -> None:
-        """Dispatch a delivered window (batched fast path).
-
-        ``payload`` is either a list of per-object packets (a drain
-        window -- replayed through the exact :meth:`receive` one by
-        one, with per-packet arrival stamps available in
-        ``arrival_times``) or a :class:`PacketBatch`, dispatched to
-        the flow agent's batch hook (``on_data_batch`` /
-        ``on_ack_batch`` / ``on_cnp_batch``).  Agents without a batch
-        hook -- there are none in-repo, but out-of-tree protocols may
-        lag -- get the batch materialized into the scalar path.
-        """
-        if not isinstance(payload, PacketBatch):
-            for packet in payload:
-                self.receive(packet, ingress)
-            return
-        if payload.kind == "data":
-            agent = self._receivers.get(payload.flow_id)
-            hook = "on_data_batch"
-        elif payload.kind in ("ack", "cnp"):
-            agent = self._senders.get(payload.flow_id)
-            hook = "on_ack_batch" if payload.kind == "ack" \
-                else "on_cnp_batch"
-        else:
-            raise ValueError(
-                f"{self.name} cannot handle batch kind {payload.kind!r}")
-        if agent is None:
-            return
-        handler = getattr(agent, hook, None)
-        if handler is not None:
-            handler(payload, arrival_times)
-            return
-        for packet in payload.packets():
-            self.receive(packet, ingress)

@@ -1,22 +1,14 @@
-"""Packet representations: per-object, pooled, and struct-of-arrays.
-
-Three tiers, by hot-path temperature:
+"""Packet representations: per-object and pooled.
 
 * :class:`Packet` -- one Python object per packet, ``__slots__`` kept
-  minimal.  The exact path; every experiment semantics is defined in
-  terms of it.
-* :class:`PacketPool` -- a freelist recycling :class:`Packet` objects
-  on the exact path.  Protocol agents acquire from the pool and the
-  terminal :meth:`~repro.sim.node.Host.receive` releases back into it,
-  so steady-state traffic allocates no new objects (allocation and GC
+  minimal.  Every experiment semantics is defined in terms of it.
+* :class:`PacketPool` -- a freelist recycling :class:`Packet` objects.
+  Protocol agents acquire from the pool and the terminal
+  :meth:`~repro.sim.node.Host.receive` releases back into it, so
+  steady-state traffic allocates no new objects (allocation and GC
   pressure show up clearly in event-loop profiles).  Packets a
   component wants to keep past the handler return must be copied --
   field reads inside the handler are always safe.
-* :class:`PacketBatch` -- a struct-of-arrays run of packets sharing
-  ``(flow, src, dst, kind)``, with per-packet numpy columns for size,
-  seq, timestamps and marks.  The batched fast path in
-  :mod:`repro.sim.link` serializes a whole batch in one vectorized
-  step and delivers it as a single event window.
 """
 
 from __future__ import annotations
@@ -24,8 +16,6 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
-
-import numpy as np
 
 #: Size of control packets (ACKs, CNPs, PFC frames), bytes.
 CONTROL_PACKET_BYTES = 64
@@ -267,116 +257,3 @@ class PacketPool:
 #: process share it harmlessly (packets are inert data between events);
 #: worker processes each get their own copy at fork/spawn.
 PACKET_POOL = PacketPool()
-
-
-class PacketBatch:
-    """A struct-of-arrays run of packets with shared routing fields.
-
-    All packets in a batch share ``(flow_id, src, dst, kind)`` --
-    exactly the shape produced by one flow's backlog or one receiver's
-    ACK train -- while per-packet state lives in parallel numpy
-    columns.  The batched port path serializes these in one
-    ``np.add.accumulate`` instead of one event per packet.
-
-    Columns
-    -------
-    size_bytes : float64[count]
-        Wire sizes (float so serialization math stays in numpy).
-    seq : int64[count]
-    sent_time : float64[count] or None
-        NIC transmit stamps (None until stamped).
-    ecn_marked : bool[count]
-    echo_time : float64[count] or None
-        ACK batches: echoed data-packet transmit stamps.
-    acked_bytes : int64[count] or None
-        ACK batches: cumulative delivered bytes per ACK.
-    """
-
-    __slots__ = ("flow_id", "src", "dst", "kind", "size_bytes", "seq",
-                 "sent_time", "ecn_marked", "echo_time", "acked_bytes",
-                 "count", "total_bytes")
-
-    def __init__(self, flow_id: int, size_bytes, src: str, dst: str,
-                 kind: str = "data", seq_start: int = 0):
-        sizes = np.asarray(size_bytes, dtype=np.float64)
-        if sizes.ndim != 1 or sizes.size == 0:
-            raise ValueError("size_bytes must be a non-empty 1-D array")
-        self.flow_id = flow_id
-        self.src = src
-        self.dst = dst
-        self.kind = kind
-        self.size_bytes = sizes
-        self.count = int(sizes.size)
-        self.total_bytes = int(sizes.sum())
-        self.seq = np.arange(seq_start, seq_start + self.count,
-                             dtype=np.int64)
-        self.sent_time: Optional[np.ndarray] = None
-        self.ecn_marked = np.zeros(self.count, dtype=bool)
-        self.echo_time: Optional[np.ndarray] = None
-        self.acked_bytes: Optional[np.ndarray] = None
-
-    @classmethod
-    def uniform(cls, flow_id: int, count: int, size_bytes: int, src: str,
-                dst: str, kind: str = "data",
-                seq_start: int = 0) -> "PacketBatch":
-        """A batch of ``count`` equal-size packets (the common case)."""
-        return cls(flow_id, np.full(count, float(size_bytes)), src, dst,
-                   kind=kind, seq_start=seq_start)
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind != "data"
-
-    def packet_at(self, i: int,
-                  pool: Optional[PacketPool] = None) -> Packet:
-        """Materialize the single packet at index ``i``."""
-        if pool is None:
-            pool = PACKET_POOL
-        packet = pool.acquire(self.flow_id, int(self.size_bytes[i]),
-                              self.src, self.dst, kind=self.kind,
-                              seq=int(self.seq[i]))
-        if self.sent_time is not None:
-            packet.sent_time = float(self.sent_time[i])
-        if self.echo_time is not None:
-            packet.echo_time = float(self.echo_time[i])
-        if self.acked_bytes is not None:
-            packet.acked_bytes = int(self.acked_bytes[i])
-        packet.ecn_marked = bool(self.ecn_marked[i])
-        return packet
-
-    def packets(self, pool: Optional[PacketPool] = None) -> list:
-        """Materialize per-object :class:`Packet` instances.
-
-        The interop escape hatch: a batch that reaches a component
-        without a batched entry point (a marked port, a PFC switch)
-        falls back to the exact per-object path through here.
-        """
-        if pool is None:
-            pool = PACKET_POOL
-        out = []
-        sent = self.sent_time
-        echo = self.echo_time
-        acked = self.acked_bytes
-        ecn = self.ecn_marked
-        for i in range(self.count):
-            packet = pool.acquire(self.flow_id,
-                                  int(self.size_bytes[i]), self.src,
-                                  self.dst, kind=self.kind,
-                                  seq=int(self.seq[i]))
-            if sent is not None:
-                packet.sent_time = float(sent[i])
-            if echo is not None:
-                packet.echo_time = float(echo[i])
-            if acked is not None:
-                packet.acked_bytes = int(acked[i])
-            packet.ecn_marked = bool(ecn[i])
-            out.append(packet)
-        return out
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return (f"<PacketBatch {self.kind} flow={self.flow_id} "
-                f"n={self.count} {self.src}->{self.dst} "
-                f"{self.total_bytes}B>")

@@ -27,10 +27,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro import units
+from repro.sim.engine import Simulator
 from repro.sim.flows import FlowRegistry
 from repro.sim.node import Host
 from repro.sim.switch import Switch, connect
-from repro.sim.topology import Network, _make_simulator
+from repro.sim.topology import Network
 
 
 def parking_lot(n_segments: int = 2,
@@ -38,8 +39,7 @@ def parking_lot(n_segments: int = 2,
                 link_delay: float = units.us(1),
                 mtu_bytes: int = units.DEFAULT_MTU_BYTES,
                 marker_factory: Optional[Callable[[int], object]] = None,
-                marking_point: str = "egress",
-                engine: str = "heap") -> Network:
+                marking_point: str = "egress") -> Network:
     """Build a chain of ``n_segments`` congestible inter-switch links.
 
     Parameters
@@ -60,7 +60,7 @@ def parking_lot(n_segments: int = 2,
     if n_segments < 1:
         raise ValueError(
             f"need at least one segment, got {n_segments}")
-    sim = _make_simulator(engine)
+    sim = Simulator()
     rate = link_gbps * 1e9 / units.BITS_PER_BYTE
     switches = {f"sw{i}": Switch(sim, f"sw{i}")
                 for i in range(n_segments + 1)}
@@ -109,5 +109,4 @@ def parking_lot(n_segments: int = 2,
     return Network(sim=sim, hosts=hosts, switches=switches,
                    registry=FlowRegistry(),
                    bottleneck_port=first_bottleneck,
-                   mtu_bytes=mtu_bytes, link_rate_bytes=rate,
-                   engine=engine)
+                   mtu_bytes=mtu_bytes, link_rate_bytes=rate)

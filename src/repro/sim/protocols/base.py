@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.sim.engine import Simulator
 from repro.sim.flows import Flow
 from repro.sim.node import Host
-from repro.sim.packet import (
-    CONTROL_PACKET_BYTES,
-    PACKET_POOL,
-    Packet,
-    PacketBatch,
-)
+from repro.sim.packet import CONTROL_PACKET_BYTES, PACKET_POOL, Packet
 
 #: Rates below this (bytes/s) are clamped up; a zero rate would stall
 #: the pacing loop forever.
@@ -159,25 +152,6 @@ class RateBasedSender:
     def on_cnp(self, packet: Packet) -> None:
         """Called for each arriving CNP (DCQCN)."""
 
-    def on_ack_batch(self, batch: PacketBatch, arrival_times) -> None:
-        """Batched-delivery hook for an ACK window.
-
-        The default materializes and replays the exact per-packet
-        handler; protocol subclasses override with array walks that
-        never touch :class:`Packet` objects.  ``arrival_times[i]`` is
-        ACK *i*'s exact wire arrival (the window event itself fires at
-        the last one).
-        """
-        for packet in batch.packets():
-            self.on_ack(packet)
-            PACKET_POOL.release(packet)
-
-    def on_cnp_batch(self, batch: PacketBatch, arrival_times) -> None:
-        """Batched-delivery hook for a CNP window (default: replay)."""
-        for packet in batch.packets():
-            self.on_cnp(packet)
-            PACKET_POOL.release(packet)
-
     def stop(self) -> None:
         """Cancel pacing and detach from the host."""
         self._finished_sending = True
@@ -209,57 +183,8 @@ class BaseReceiver:
             if self.on_complete is not None:
                 self.on_complete(self.flow)
 
-    def on_data_batch(self, batch: PacketBatch, arrival_times) -> None:
-        """Account a delivered data window; fire completion once done.
-
-        The batched counterpart of :meth:`on_data`.  Only the prefix
-        up to (and including) the packet that completes a finite flow
-        is processed -- on the scalar path the host would have dropped
-        the rest as post-deregistration stragglers, so the two paths
-        see identical byte totals.  The completion stamp uses the
-        completing packet's own arrival time, not the window end.
-        """
-        flow = self.flow
-        count = batch.count
-        completing = False
-        if flow.size_bytes is not None and not flow.completed:
-            need = flow.size_bytes - flow.bytes_delivered
-            cum = np.add.accumulate(batch.size_bytes)
-            if cum[-1] >= need:
-                count = int(np.searchsorted(cum, need)) + 1
-                completing = True
-            delivered = int(cum[count - 1])
-        else:
-            delivered = batch.total_bytes
-        delivered_before = flow.bytes_delivered
-        flow.bytes_delivered = delivered_before + delivered
-        self.handle_data_batch(batch, arrival_times, count,
-                               delivered_before)
-        if completing:
-            flow.completion_time = float(arrival_times[count - 1])
-            last = batch.packet_at(count - 1)
-            self.handle_completion(last)
-            PACKET_POOL.release(last)
-            self.host.unregister_receiver(flow.flow_id)
-            if self.on_complete is not None:
-                self.on_complete(flow)
-
     def handle_data(self, packet: Packet) -> None:
         """Protocol-specific reaction to a data packet (marks, ACKs)."""
-
-    def handle_data_batch(self, batch: PacketBatch, arrival_times,
-                          count: int, delivered_before: int) -> None:
-        """Protocol-specific reaction to the first ``count`` packets.
-
-        ``delivered_before`` is the flow's delivered-byte total before
-        this window; handlers that need the running cumulative (ACK
-        generation) combine it with a prefix sum over the batch.  The
-        default replays the exact scalar hook.
-        """
-        for i in range(count):
-            packet = batch.packet_at(i)
-            self.handle_data(packet)
-            PACKET_POOL.release(packet)
 
     def handle_completion(self, last_packet: Packet) -> None:
         """Protocol-specific final action (e.g. flush a last ACK)."""

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.core.params import DCQCNParams
 from repro.sim.engine import Simulator
 from repro.sim.flows import Flow
 from repro.sim.node import Host
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.protocols.base import BaseReceiver, RateBasedSender
 
 
@@ -161,40 +159,6 @@ class DCQCNSender(RateBasedSender):
         self._arm_rate_timer()
         self._arm_cnp_timeout()
 
-    def on_cnp_batch(self, batch: PacketBatch, arrival_times) -> None:
-        """Batched CNP window: the same state walk, no packet objects.
-
-        The multiplicative-decrease recurrence is applied once per CNP
-        in order (it is not associative -- alpha changes between
-        cuts), but delay statistics vectorize and the three timers are
-        re-armed once: every re-arm in the scalar loop would anchor at
-        the same ``sim.now``, so the last one is the only survivor.
-        """
-        n = batch.count
-        self.cnps_received += n
-        if self.ledger is not None:
-            self.ledger.on_control(self.flow.flow_id, "cnp", n,
-                                   self.sim.now)
-        sent = batch.sent_time
-        if sent is not None:
-            delays = arrival_times - sent
-            self.cnp_delay_sum += float(delays.sum())
-            self.cnp_delay_max = max(self.cnp_delay_max,
-                                     float(delays.max()))
-        g = self.params.g
-        alpha = self.alpha
-        for _ in range(n):
-            self.target_rate = self._rate
-            self.rate = self._rate * (1.0 - alpha / 2.0)
-            alpha = (1.0 - g) * alpha + g
-        self.alpha = alpha
-        self._bytes_since_event = 0.0
-        self._byte_stage = 0
-        self._time_stage = 0
-        self._arm_alpha_timer()
-        self._arm_rate_timer()
-        self._arm_cnp_timeout()
-
     def on_packet_sent(self, packet: Packet) -> None:
         self._bytes_since_event += packet.size_bytes
         while self._bytes_since_event >= self._byte_counter_bytes:
@@ -237,26 +201,3 @@ class DCQCNReceiver(BaseReceiver):
         self._last_cnp_time = now
         self.cnps_sent += 1
         self.send_control("cnp")
-
-    def handle_data_batch(self, batch: PacketBatch, arrival_times,
-                          count: int, delivered_before: int) -> None:
-        """Batched NP: tau-gated CNP walk over the marked indices.
-
-        Each packet's own wire arrival drives the rate-limiter clock
-        (exactly what ``sim.now`` is on the scalar path); the emitted
-        CNPs themselves leave at the window boundary, the documented
-        window-mode coalescing.
-        """
-        marked = batch.ecn_marked[:count]
-        if not marked.any():
-            return
-        tau = self.params.tau
-        last = self._last_cnp_time
-        for i in np.flatnonzero(marked):
-            t = float(arrival_times[i])
-            if last is not None and t - last < tau:
-                continue
-            last = t
-            self.cnps_sent += 1
-            self.send_control("cnp")
-        self._last_cnp_time = last

@@ -29,17 +29,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.sim.engine import Simulator
 from repro.sim.flows import Flow
 from repro.sim.node import Host
-from repro.sim.packet import (
-    CONTROL_PACKET_BYTES,
-    PACKET_POOL,
-    Packet,
-    PacketBatch,
-)
+from repro.sim.packet import CONTROL_PACKET_BYTES, PACKET_POOL, Packet
 from repro.sim.protocols.base import BaseReceiver
 
 
@@ -109,59 +102,10 @@ class DCTCPSender:
     # -- transmission ---------------------------------------------------------
 
     def _fill_window(self) -> None:
-        """Emit packets while the window allows and data remains.
-
-        The burst is self-clocked and back-to-back, so every packet in
-        it shares one emission instant -- exactly the shape
-        :class:`PacketBatch` models.  On a batch-capable NIC port the
-        whole burst goes out as one struct-of-arrays train; otherwise
-        the scalar loop runs unchanged.
-        """
-        if self._stopped:
-            return
-        port = self.host.port
-        if port is not None and port.batch_window is not None:
-            self._fill_window_batched()
-            return
+        """Emit packets while the window allows and data remains."""
         while not self._stopped and self._inflight + self.mtu_bytes \
                 <= self.cwnd and not self.flow.all_bytes_sent():
             self._emit_packet()
-
-    def _fill_window_batched(self) -> None:
-        # Chunk at the port's window size: one giant burst-as-a-batch
-        # would coalesce the *entire* cwnd's delivery (and its ACKs) to
-        # a single instant, turning self-clocking into stop-and-wait.
-        # Window-sized chunks keep data and returning ACKs pipelined.
-        mtu = self.mtu_bytes
-        chunk = self.host.port.batch_window
-        while not self._stopped:
-            budget = int((self.cwnd - self._inflight) // mtu)
-            if budget < 1 or self.flow.all_bytes_sent():
-                return
-            if self.flow.size_bytes is not None:
-                remaining = self.flow.size_bytes - self.flow.bytes_sent
-                count = min(budget, -(-remaining // mtu))
-            else:
-                remaining = None
-                count = budget
-            count = min(count, chunk)
-            if count == 1:
-                self._emit_packet()
-                continue
-            sizes = np.full(count, float(mtu))
-            if remaining is not None and remaining < count * mtu:
-                sizes[-1] = float(remaining - (count - 1) * mtu)
-            batch = PacketBatch(self.flow.flow_id, sizes,
-                                self.host.name, self.flow.dst,
-                                kind="data", seq_start=self._sequence)
-            self._sequence += count
-            batch.sent_time = np.full(count, self.sim.now)
-            total = batch.total_bytes
-            self.flow.bytes_sent += total
-            self._inflight += total
-            if self._window_end_bytes == 0:
-                self._window_end_bytes = int(self.cwnd)
-            self.host.send_batch(batch)
 
     def _emit_packet(self) -> None:
         remaining = None if self.flow.size_bytes is None else \
@@ -224,33 +168,6 @@ class DCTCPSender:
         self._window_marked = 0
         self._window_end_bytes = acked_total + int(self.cwnd)
 
-    def on_ack_batch(self, batch: PacketBatch, arrival_times) -> None:
-        """Batched ACK window: credit sequentially, refill once.
-
-        The per-ACK walk must stay sequential (window edges move
-        ``cwnd`` mid-batch), but all the ACKs in a coalesced window
-        share one ``sim.now``, so the scalar path's per-ACK
-        ``_fill_window`` calls would emit exactly the packets one
-        final call emits -- same clock, same cumulative credit.
-        """
-        acked_arr = batch.acked_bytes
-        if acked_arr is None:
-            return
-        marked = batch.ecn_marked
-        for i in range(batch.count):
-            cum_ack = int(acked_arr[i])
-            acked = cum_ack - self._last_cumulative_ack
-            if acked <= 0:
-                continue
-            self._last_cumulative_ack = cum_ack
-            self._inflight = max(self._inflight - acked, 0)
-            self._window_acked += acked
-            if marked[i]:
-                self._window_marked += acked
-            if cum_ack >= self._window_end_bytes:
-                self._finish_window(cum_ack)
-        self._fill_window()
-
     def on_cnp(self, packet: Packet) -> None:
         raise ValueError("DCTCP does not use CNPs")
 
@@ -273,26 +190,3 @@ class DCTCPReceiver(BaseReceiver):
         ack.ecn_marked = packet.ecn_marked
         self.acks_sent += 1
         self.host.send(ack)
-
-    def handle_data_batch(self, batch: PacketBatch, arrival_times,
-                          count: int, delivered_before: int) -> None:
-        """Batched receiver: one ACK *batch* back per data window.
-
-        DCTCP ACKs every data packet, so this is the protocol where
-        ACK-side batching pays: the return path carries one
-        struct-of-arrays train instead of ``count`` control packets.
-        ``acked_bytes`` carries the running cumulative total exactly
-        as the per-packet path would have stamped it.
-        """
-        acks = PacketBatch.uniform(self.flow.flow_id, count,
-                                   CONTROL_PACKET_BYTES,
-                                   self.host.name, self.flow.src,
-                                   kind="ack")
-        acks.sent_time = np.full(count, self.sim.now)
-        if batch.sent_time is not None:
-            acks.echo_time = batch.sent_time[:count]
-        acks.acked_bytes = delivered_before + np.add.accumulate(
-            batch.size_bytes[:count]).astype(np.int64)
-        acks.ecn_marked = batch.ecn_marked[:count].copy()
-        self.acks_sent += count
-        self.host.send_batch(acks)

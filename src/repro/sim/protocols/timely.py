@@ -29,7 +29,7 @@ from repro.core.params import TimelyParams
 from repro.sim.engine import Simulator
 from repro.sim.flows import Flow
 from repro.sim.node import Host
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.protocols.base import BaseReceiver, RateBasedSender
 
 #: Supported pacing strategies.
@@ -172,34 +172,6 @@ class TimelySender(RateBasedSender):
         self._last_update = self.sim.now
         self.update_rate(rtt)
 
-    def on_ack_batch(self, batch: PacketBatch, arrival_times) -> None:
-        """Batched ACK window: per-ACK RTTs from exact arrival stamps.
-
-        Each ACK's wire arrival plays the role ``sim.now`` has on the
-        scalar path for both the RTT sample and the ``D_minRTT``
-        update gate, so the gating pattern across a window matches the
-        per-packet engine.
-        """
-        echo = batch.echo_time
-        if echo is None:
-            raise ValueError("TIMELY ACK without an echoed timestamp")
-        n = batch.count
-        self.rtt_samples += n
-        if self.ledger is not None:
-            self.ledger.on_control(self.flow.flow_id, "ack", n,
-                                   self.sim.now)
-        min_rtt = self.params.min_rtt
-        for i in range(n):
-            now = float(arrival_times[i])
-            rtt = now - float(echo[i])
-            if self._reject_outlier(rtt):
-                continue
-            if self._last_update is not None and \
-                    now - self._last_update < min_rtt:
-                continue
-            self._last_update = now
-            self.update_rate(rtt)
-
     def _reject_outlier(self, rtt: float) -> bool:
         """Outlier rejection against the EWMA baseline (if enabled)."""
         if self.rtt_outlier_factor is None:
@@ -278,33 +250,6 @@ class TimelyReceiver(BaseReceiver):
         self._bytes_since_ack += packet.size_bytes
         if self._bytes_since_ack >= self.segment_bytes:
             self._send_ack(packet)
-
-    def handle_data_batch(self, batch: PacketBatch, arrival_times,
-                          count: int, delivered_before: int) -> None:
-        """Batched segment walk: one ACK per completed segment.
-
-        ACKs are sparse (one per ``Seg`` bytes), so they stay on the
-        scalar control path; only the per-data-packet accounting is
-        object-free.  ``acked_bytes`` reconstructs the running
-        delivered total the scalar path would have read from the flow.
-        """
-        sizes = batch.size_bytes
-        sent = batch.sent_time
-        seg = self.segment_bytes
-        acc = self._bytes_since_ack
-        cum = delivered_before
-        for i in range(count):
-            size = int(sizes[i])
-            acc += size
-            cum += size
-            if acc >= seg:
-                acc = 0
-                self.acks_sent += 1
-                self.send_control(
-                    "ack",
-                    echo_time=None if sent is None else float(sent[i]),
-                    acked_bytes=cum)
-        self._bytes_since_ack = acc
 
     def handle_completion(self, last_packet: Packet) -> None:
         # Flush a final ACK so short flows (< one segment) still

@@ -73,27 +73,6 @@ class ByteFIFO:
         self.dequeued_bytes += packet.size_bytes
         return packet
 
-    def dequeue_window(self, max_packets: int) -> "tuple[list, int]":
-        """Drain up to ``max_packets`` head packets in one step.
-
-        Returns ``(packets, total_bytes)``.  The batched port path
-        (:mod:`repro.sim.link`) serves a whole drain window with one
-        pair of events instead of one pair per packet; byte accounting
-        is settled once for the window.
-        """
-        queue = self._packets
-        count = len(queue)
-        if max_packets < count:
-            count = max_packets
-        popleft = queue.popleft
-        window = [popleft() for _ in range(count)]
-        total = 0
-        for packet in window:
-            total += packet.size_bytes
-        self._bytes -= total
-        self.dequeued_bytes += total
-        return window, total
-
     def audit(self) -> Optional[str]:
         """Check internal conservation; None if clean, else a message.
 

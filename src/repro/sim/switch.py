@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link, Port
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.pfc import PFCController
 
 
@@ -78,34 +78,13 @@ class Switch:
         self.packets_forwarded += 1
         self.port_for(packet.dst).send(packet)
 
-    def receive_window(self, payload, arrival_times,
-                       ingress: Optional[str] = None) -> None:
-        """Forward a delivered window (batched fast path).
-
-        A batch shares one destination, so forwarding is a single FIB
-        lookup plus a batched hand-off to the egress port.  PFC
-        switches need per-packet buffer accounting, so they (and plain
-        packet-object windows) take the exact per-packet path instead;
-        ports never offer windows to a PFC switch in the first place
-        because its egress hooks disable their eligibility check.
-        """
-        if isinstance(payload, PacketBatch) and self.pfc is None:
-            self.packets_forwarded += payload.count
-            self.port_for(payload.dst).send_batch(payload)
-            return
-        packets = payload.packets() if isinstance(payload, PacketBatch) \
-            else payload
-        for packet in packets:
-            self.receive(packet, ingress)
-
 
 def connect(sim: Simulator, src_device, dst_device,
             rate_bytes_per_s: float, delay: float,
             marker: Optional[object] = None,
             marking_point: str = "egress",
             capacity_bytes: Optional[int] = None,
-            priority_control: bool = False,
-            batch_window: Optional[int] = None) -> Port:
+            priority_control: bool = False) -> Port:
     """Wire ``src_device -> dst_device`` and register the port.
 
     Works for host->switch, switch->switch and switch->host edges;
@@ -118,8 +97,7 @@ def connect(sim: Simulator, src_device, dst_device,
                 marking_point=marking_point, capacity_bytes=capacity_bytes,
                 name=f"{getattr(src_device, 'name', 'dev')}->"
                      f"{getattr(dst_device, 'name', 'dev')}",
-                priority_control=priority_control,
-                batch_window=batch_window)
+                priority_control=priority_control)
     if hasattr(src_device, "attach_port"):
         src_device.attach_port(getattr(dst_device, "name"), port)
     else:

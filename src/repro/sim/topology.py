@@ -31,21 +31,6 @@ from repro.sim.switch import Switch, connect
 #: Protocol names accepted by :func:`install_flow`.
 PROTOCOLS = ("dcqcn", "timely", "patched_timely", "dctcp")
 
-#: Engine backends accepted by the topology builders.  ``heap`` and
-#: ``calendar`` pick the event-queue implementation (bit-identical
-#: event orderings; see :mod:`repro.sim.scheduler`); ``hybrid`` runs
-#: on the calendar scheduler and marks the network as eligible for
-#: fluid/packet coupling (:mod:`repro.sim.hybrid`).
-ENGINES = ("heap", "calendar", "hybrid")
-
-
-def _make_simulator(engine: str) -> Simulator:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}")
-    scheduler = "heap" if engine == "heap" else "calendar"
-    return Simulator(scheduler=scheduler)
-
 
 @dataclass
 class Network:
@@ -60,7 +45,6 @@ class Network:
     link_rate_bytes: float
     senders: Dict[int, object] = field(default_factory=dict)
     receivers: Dict[int, object] = field(default_factory=dict)
-    engine: str = "heap"
 
     def utilization(self, duration: float) -> float:
         """Bottleneck utilization over ``duration`` seconds of run."""
@@ -81,8 +65,7 @@ def single_switch(n_senders: int,
                   marker: Optional[object] = None,
                   marking_point: str = "egress",
                   feedback_extra_delay: float = 0.0,
-                  priority_control: bool = False,
-                  engine: str = "heap") -> Network:
+                  priority_control: bool = False) -> Network:
     """N senders -> one switch -> one receiver (validation topology).
 
     ``feedback_extra_delay`` is added to the reverse-path (switch ->
@@ -94,7 +77,7 @@ def single_switch(n_senders: int,
     """
     if n_senders < 1:
         raise ValueError(f"need at least one sender, got {n_senders}")
-    sim = _make_simulator(engine)
+    sim = Simulator()
     rate = _gbps_to_bytes(link_gbps)
     switch = Switch(sim, "sw")
     receiver = Host(sim, "recv")
@@ -122,8 +105,7 @@ def single_switch(n_senders: int,
 
     return Network(sim=sim, hosts=hosts, switches={"sw": switch},
                    registry=FlowRegistry(), bottleneck_port=bottleneck,
-                   mtu_bytes=mtu_bytes, link_rate_bytes=rate,
-                   engine=engine)
+                   mtu_bytes=mtu_bytes, link_rate_bytes=rate)
 
 
 def dumbbell(n_pairs: int = 10,
@@ -131,8 +113,7 @@ def dumbbell(n_pairs: int = 10,
              link_delay: float = units.us(1),
              mtu_bytes: int = units.DEFAULT_MTU_BYTES,
              marker: Optional[object] = None,
-             marking_point: str = "egress",
-             engine: str = "heap") -> Network:
+             marking_point: str = "egress") -> Network:
     """The Fig. 13 dumbbell: senders -> SW1 -> SW2 -> receivers.
 
     All links run at ``link_gbps`` with ``link_delay`` latency; the
@@ -140,7 +121,7 @@ def dumbbell(n_pairs: int = 10,
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one host pair, got {n_pairs}")
-    sim = _make_simulator(engine)
+    sim = Simulator()
     rate = _gbps_to_bytes(link_gbps)
     sw1 = Switch(sim, "sw1")
     sw2 = Switch(sim, "sw2")
@@ -167,8 +148,7 @@ def dumbbell(n_pairs: int = 10,
     return Network(sim=sim, hosts=hosts,
                    switches={"sw1": sw1, "sw2": sw2},
                    registry=FlowRegistry(), bottleneck_port=bottleneck,
-                   mtu_bytes=mtu_bytes, link_rate_bytes=rate,
-                   engine=engine)
+                   mtu_bytes=mtu_bytes, link_rate_bytes=rate)
 
 
 def install_flow(net: Network, protocol: str, src: str, dst: str,

@@ -2,20 +2,15 @@
 
 ns-3 ships pcap/ascii traces; this is the equivalent for this
 simulator: a :class:`PacketTracer` hooks one or more ports'
-``on_transmit`` (and its batched companion ``on_transmit_window``)
-and records ``(time, port, packet)`` events, with optional kind/flow
-filters so a DCQCN debugging session can watch, say, only the CNPs
-crossing the bottleneck.  Tail drops are recorded too, via
+``on_transmit`` and records ``(time, port, packet)`` events, with
+optional kind/flow filters so a DCQCN debugging session can watch,
+say, only the CNPs crossing the bottleneck.  Tail drops are recorded too, via
 ``on_drop``, flagged inline so a trace shows losses and not just
 departures.
 
 The tracer chains politely: if a port already has a hook installed
 (PFC accounting at switches), the tracer calls it first, so tracing
-never changes behaviour.  Because it chains the window hook as well,
-attaching a tracer does not kick a ``batch_window`` port off the
-vectorized path -- and the per-packet finish stamps of a window are
-bit-identical to the scalar recurrence, so the recorded stream is
-the same either way.
+never changes behaviour.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Port
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 
 
 class TraceEvent:
@@ -110,10 +105,8 @@ class PacketTracer:
     def attach(self, port: Port) -> None:
         """Hook a port, chaining any existing hooks.
 
-        All three departure surfaces are chained: ``on_transmit``
-        (scalar path), ``on_transmit_window`` (batched path -- so
-        tracing does not silently disable PR 7's vectorized windows),
-        and ``on_drop`` (tail losses, recorded with ``dropped=True``).
+        Both departure surfaces are chained: ``on_transmit`` and
+        ``on_drop`` (tail losses, recorded with ``dropped=True``).
         """
         previous = port.on_transmit
 
@@ -123,16 +116,6 @@ class PacketTracer:
             self._record(_port, packet, self.sim.now)
 
         port.on_transmit = hook
-
-        previous_window = port.on_transmit_window
-
-        def window_hook(payload, finishes, _prev=previous_window,
-                        _port=port) -> None:
-            if _prev is not None:
-                _prev(payload, finishes)
-            self._record_window(_port, payload, finishes)
-
-        port.on_transmit_window = window_hook
 
         previous_drop = port.on_drop
 
@@ -166,40 +149,6 @@ class PacketTracer:
             ecn_marked=packet.ecn_marked,
             sent_time=packet.sent_time,
             dropped=dropped))
-
-    def _record_window(self, port: Port, payload, finishes) -> None:
-        """Record a serialized window's departures.
-
-        List payloads (queue drains) reuse the per-packet recorder
-        with each packet's exact finish stamp.  ``PacketBatch``
-        payloads are read column-wise -- no materialization -- and
-        produce the same events the scalar path would have.
-        """
-        if not isinstance(payload, PacketBatch):
-            for i, packet in enumerate(payload):
-                self._record(port, packet, float(finishes[i]))
-            return
-        if self.kinds is not None and payload.kind not in self.kinds:
-            self.filtered_events += payload.count
-            return
-        if self.flow_ids is not None and \
-                payload.flow_id not in self.flow_ids:
-            self.filtered_events += payload.count
-            return
-        sent = payload.sent_time
-        for i in range(payload.count):
-            if len(self.events) >= self.max_events:
-                self.dropped_events += payload.count - i
-                return
-            self.events.append(TraceEvent(
-                time=float(finishes[i]),
-                port_name=port.name,
-                kind=payload.kind,
-                flow_id=payload.flow_id,
-                seq=int(payload.seq[i]),
-                size_bytes=int(payload.size_bytes[i]),
-                ecn_marked=bool(payload.ecn_marked[i]),
-                sent_time=None if sent is None else float(sent[i])))
 
     def marked_fraction(self) -> float:
         """Fraction of recorded data packets carrying a CE mark.

@@ -1,8 +1,50 @@
 """Event engine: ordering, cancellation, determinism, watchdogs."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import SimulationAborted, Simulator
+
+
+def _random_workload(sim, rng, total_events, max_events=None):
+    """Drive ``sim`` with a randomized self-extending schedule.
+
+    Exercises every ordering hazard at once: simultaneous events
+    (zero-delay ties resolved by scheduling order), far-future jumps
+    and cancellations.  With ``max_events`` the run is cut into
+    watchdog-aborted slices and resumed until the heap drains.
+    Returns the ``(time, tag)`` serve order and the abort count.
+    """
+    trace = []
+    handles = []
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+        if len(trace) >= total_events:
+            return
+        for _ in range(rng.randrange(3)):
+            delay = rng.choice(
+                [0.0, 0.0, 1e-9, rng.random() * 1e-6,
+                 rng.random() * 1e-4, rng.random() * 1e-2])
+            handles.append(sim.schedule(delay, fire, len(trace)))
+        if handles and rng.random() < 0.05:
+            handles[rng.randrange(len(handles))].cancel()
+
+    for i in range(50):
+        handles.append(sim.schedule(rng.random() * 1e-4, fire, -i))
+    for i in range(0, 50, 7):
+        handles[i].cancel()
+    aborts = 0
+    while True:
+        try:
+            sim.run(max_events=max_events)
+            break
+        except SimulationAborted as exc:
+            aborts += 1
+            assert exc.reason == "max_events"
+            assert exc.events_processed == max_events
+    return trace, aborts
 
 
 class TestScheduling:
@@ -48,6 +90,13 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.run()
 
+    def test_randomized_workload_serves_in_time_order(self):
+        trace, _ = _random_workload(Simulator(), random.Random(3),
+                                    total_events=3000)
+        assert len(trace) >= 3000
+        times = [t for t, _ in trace]
+        assert times == sorted(times)
+
     def test_events_can_schedule_events(self):
         sim = Simulator()
         log = []
@@ -85,8 +134,10 @@ class TestRunControl:
         event = sim.schedule(1.0, lambda: log.append("no"))
         sim.schedule(2.0, lambda: log.append("yes"))
         event.cancel()
+        assert sim.pending_events == 2  # lazy removal
         sim.run()
         assert log == ["yes"]
+        assert sim.pending_events == 0
 
     def test_stop_aborts_run(self):
         sim = Simulator()
@@ -194,6 +245,15 @@ class TestWatchdogs:
         assert sim.pending_events == 6
         sim.run()
         assert log == list(range(10))
+
+    def test_repeated_max_events_aborts_resume_exactly(self):
+        reference, _ = _random_workload(Simulator(), random.Random(99),
+                                        total_events=2000)
+        trace, aborts = _random_workload(Simulator(), random.Random(99),
+                                         total_events=2000,
+                                         max_events=137)
+        assert aborts >= 2  # actually exercised mid-run resume
+        assert trace == reference
 
     def test_wall_clock_watchdog_fires(self):
         sim = Simulator()

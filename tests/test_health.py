@@ -173,112 +173,6 @@ class TestStalledConvergenceDetector:
         assert feed(monitor, self.times, rates=rates) == []
 
 
-class TestHybridDriftDetector:
-    times = np.arange(0.0, 0.03, 2e-5)
-
-    def monitor(self, **kwargs):
-        kwargs.setdefault("window", 5e-3)
-        kwargs.setdefault("check_interval", 1e-3)
-        return H.HealthMonitor([H.HybridDriftDetector(**kwargs)])
-
-    def feed_signals(self, monitor, deltas, queues, residuals):
-        return feed(monitor, self.times,
-                    hybrid_backlog_delta_bytes=deltas,
-                    hybrid_queue_bytes=queues,
-                    hybrid_rate_residual=residuals)
-
-    def constant(self, value):
-        return np.full(self.times.size, float(value))
-
-    def test_forced_divergence_fires_warning(self):
-        # Fluid backlog and packet queue disagree by 90% of the
-        # total queue, sustained: the hybrid has stopped being
-        # honest about where the bytes are.
-        monitor = self.monitor()
-        findings = self.feed_signals(
-            monitor, deltas=self.constant(900.0),
-            queues=self.constant(1000.0),
-            residuals=self.constant(0.5))
-        assert "backlog_divergence" in {f.kind for f in findings}
-        assert monitor.verdict == "warning"
-
-    def test_divergence_fires_mid_run(self):
-        detector = H.HybridDriftDetector(window=5e-3,
-                                         check_interval=1e-3)
-        monitor = H.HealthMonitor([detector])
-        fired_at = None
-        for t in self.times:
-            monitor.sample(t, hybrid_backlog_delta_bytes=900.0,
-                           hybrid_queue_bytes=1000.0,
-                           hybrid_rate_residual=0.5)
-            if monitor.findings and fired_at is None:
-                fired_at = t
-        assert fired_at is not None and fired_at < self.times[-1]
-
-    def test_mice_starved_fires_on_pinned_residual(self):
-        # The packet mice never get more than the clamp floor: the
-        # fluid elephants own the line for the whole window.
-        findings = self.feed_signals(
-            self.monitor(), deltas=self.constant(10.0),
-            queues=self.constant(1000.0),
-            residuals=self.constant(0.02))
-        assert {f.kind for f in findings} == {"mice_starved"}
-
-    def test_runaway_divergence_is_critical(self):
-        # Queue doubles every 2.5 ms: the tail window's mean is 4x
-        # the previous window's -- the coupled system is blowing up.
-        queues = 100.0 * 2.0 ** (self.times / 2.5e-3)
-        monitor = self.monitor()
-        findings = self.feed_signals(
-            monitor, deltas=self.constant(1.0), queues=queues,
-            residuals=self.constant(0.5))
-        by_kind = {f.kind: f for f in findings}
-        assert by_kind["runaway_divergence"].severity == "critical"
-        assert monitor.verdict == "pathological"
-
-    def test_tail_drift_warns_without_runaway(self):
-        # A late step change: the last window's mean moved 80% but
-        # did not cross the 2x runaway line.
-        queues = np.where(self.times < 0.025, 1000.0, 1800.0)
-        findings = self.feed_signals(
-            self.monitor(), deltas=self.constant(1.0),
-            queues=queues, residuals=self.constant(0.5))
-        assert {f.kind for f in findings} == {"tail_drift"}
-
-    def test_converged_hybrid_is_clean(self):
-        rng = np.random.default_rng(11)
-        monitor = self.monitor()
-        findings = self.feed_signals(
-            monitor,
-            deltas=rng.normal(0.0, 5.0, self.times.size),
-            queues=1000.0 + rng.normal(0.0, 10.0, self.times.size),
-            residuals=self.constant(0.5))
-        assert findings == []
-        assert monitor.verdict == "clean"
-
-    def test_startup_transient_not_judged(self):
-        # Huge disagreement while the packet queue fills, agreement
-        # after: the first-2-windows guard must hold fire.
-        deltas = np.where(self.times < 5e-3, 900.0, 1.0)
-        findings = self.feed_signals(
-            self.monitor(), deltas=deltas,
-            queues=self.constant(1000.0),
-            residuals=self.constant(0.5))
-        assert findings == []
-
-    def test_missing_signal_is_skipped(self):
-        # Non-hybrid runs never publish the drift signals; the
-        # detector must stay silent rather than judge nothing.
-        monitor = self.monitor()
-        assert feed(monitor, self.times,
-                    queue=np.ones(self.times.size)) == []
-        assert monitor.verdict == "clean"
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            H.HybridDriftDetector(window=0.0)
-
-
 class TestHealthMonitor:
     def test_dedupes_per_detector_kind(self):
         class Always(H.Detector):

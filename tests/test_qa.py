@@ -1,7 +1,7 @@
 """repro.qa -- specs, fuzzer, oracles, differential runner, capsules.
 
-The end-to-end acceptance path (deliberate engine mutation caught,
-shrunk and replayed) lives in ``tests/test_qa_mutation.py``; this
+The end-to-end acceptance path (deliberate forensics-hook mutation
+caught, shrunk and replayed) lives in ``tests/test_qa_mutation.py``; this
 file covers the harness's components.
 """
 
@@ -32,10 +32,6 @@ from repro.qa import (
 )
 from repro.qa.capsule import capsule_for_verdict, write_capsule
 from repro.qa.driver import format_report
-from repro.qa.oracles import (
-    HYBRID_QUEUE_ATOL_BYTES,
-    HYBRID_QUEUE_RTOL,
-)
 from repro.qa.scenario import build_network, host_names, port_names
 from repro.sim.faults import collect_ports
 
@@ -133,46 +129,6 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="buffers"):
             spec.replace(pfc=False, buffer_kb=100.0).validate()
 
-    def test_window_exact_envelope(self):
-        assert tiny_spec(aqm="red").window_exact
-        assert tiny_spec(n_flows=1).window_exact
-        # Multi-flow with no AQM: the converging egress is unmarked,
-        # stays window-capable, and stamps mid-window completions at
-        # the window boundary.
-        assert not tiny_spec().window_exact
-        # Any DCTCP flow: cwnd bursts form NIC windows.
-        dctcp = tiny_spec(aqm="red").replace(flows=(
-            FlowSpec("dctcp", "s0", "recv", 16384),))
-        assert not dctcp.window_exact
-        # Shared source: one NIC multiplexes two flows.
-        shared = tiny_spec(aqm="red").replace(flows=(
-            FlowSpec("dcqcn", "s0", "recv", 16384),
-            FlowSpec("timely", "s0", "recv", 16384)))
-        assert not shared.window_exact
-        # A sender that is also a receiver: ACKs land mid-window.
-        crossed = tiny_spec(aqm="red").replace(flows=(
-            FlowSpec("dcqcn", "s0", "recv", 16384),
-            FlowSpec("dcqcn", "s1", "s0", 16384)))
-        assert not crossed.window_exact
-        # PFC pauses cannot interrupt a committed window.
-        assert not tiny_spec(pfc=True, aqm="red").window_exact
-
-    def test_hybrid_envelope(self):
-        good = ScenarioSpec(
-            topology="single_switch",
-            topology_args={"n_senders": 2}, aqm="red",
-            flows=(FlowSpec("dcqcn", "s0", "recv", None),
-                   FlowSpec("dcqcn", "s1", "recv", None)),
-            duration=0.01)
-        assert good.long_lived and good.hybrid_eligible
-        assert not good.replace(link_gbps=1.0).hybrid_eligible
-        assert not good.replace(aqm="pi").hybrid_eligible
-        assert not good.replace(
-            aqm_args={"kmin_kb": 40.0}).hybrid_eligible
-        assert not good.replace(flows=(
-            FlowSpec("timely", "s0", "recv", None),)).hybrid_eligible
-        assert not tiny_spec().hybrid_eligible  # finite flows
-
 
 class TestTopologyKnowledge:
     """port_names/host_names must mirror what the builders create."""
@@ -222,14 +178,21 @@ class TestFuzzer:
             spec.validate()  # in-envelope by construction
             assert spec.duration <= 0.25
 
-    def test_long_lived_specs_land_in_the_hybrid_envelope(self):
+    def test_long_lived_specs_run_dcqcn_at_paper_red(self):
         found = 0
         fuzzer = ScenarioFuzzer(2)
         for index in range(80):
             spec = fuzzer.generate(index)
             if spec.long_lived:
                 found += 1
-                assert spec.hybrid_eligible
+                assert spec.topology == "single_switch"
+                assert spec.aqm == "red" and spec.aqm_args == {}
+                assert spec.link_gbps >= 10.0
+                assert not spec.faults and not spec.pfc
+                assert all(f.protocol == "dcqcn"
+                           and f.size_bytes is None
+                           and f.start_time == 0.0
+                           for f in spec.flows)
         assert found > 0
 
 
@@ -323,12 +286,11 @@ class TestOracleSuite:
         suite = OracleSuite()
         base = synthetic_outcome(trace=[(1e-3, "sw->recv", 0)])
         twin = synthetic_outcome(trace=[(1e-3, "sw->recv", 0)],
-                                 variant=Variant("scheduler",
-                                                 scheduler="calendar"))
+                                 variant=MATRIX["forensics"])
         assert suite.check_pair(tiny_spec(), base, twin) == []
         skewed = synthetic_outcome(
             trace=[(2e-3, "sw->recv", 0)],
-            variant=Variant("scheduler", scheduler="calendar"))
+            variant=MATRIX["forensics"])
         got = suite.check_pair(tiny_spec(), base, skewed)
         assert [v.oracle for v in got] == ["bit_identical"]
         assert "trace event 0" in got[0].message
@@ -337,75 +299,33 @@ class TestOracleSuite:
         suite = OracleSuite()
         base = synthetic_outcome(trace_truncated=True)
         got = suite.check_pair(tiny_spec(), base, synthetic_outcome(
-            variant=Variant("window", window=8)))
+            variant=MATRIX["forensics"]))
         assert [v.oracle for v in got] == ["bit_identical"]
         assert "overflow" in got[0].message
-
-    def test_hybrid_combined_tolerance(self):
-        suite = OracleSuite()
-        spec = tiny_spec(duration=0.01)
-
-        def pair(ref_bytes, got_bytes):
-            base = synthetic_outcome(
-                queue_samples=[(0.008, ref_bytes)])
-            hyb = synthetic_outcome(
-                queue_samples=[(0.008, got_bytes)],
-                variant=Variant("hybrid", hybrid=True))
-            return suite.check_pair(spec, base, hyb)
-
-        # Inside rtol on a deep queue.
-        deep = 400 * 1024
-        assert pair(deep, deep * (1 + HYBRID_QUEUE_RTOL * 0.9)) == []
-        assert pair(deep, deep * 2.2) != []
-        # Inside atol on a near-empty queue even when rtol is blown.
-        shallow = 4 * 1024
-        assert pair(shallow,
-                    shallow + HYBRID_QUEUE_ATOL_BYTES * 0.9) == []
-        assert pair(shallow,
-                    shallow + HYBRID_QUEUE_ATOL_BYTES * 1.5) != []
 
 
 class TestDifferentialRunner:
     def test_rejects_unknown_classes(self):
+        assert set(MATRIX) == {"baseline", "forensics"}
         with pytest.raises(ValueError, match="unknown matrix"):
-            DifferentialRunner(classes=["scheduler", "quantum"])
+            DifferentialRunner(classes=["forensics", "quantum"])
         with pytest.raises(ValueError, match="unknown matrix"):
             DifferentialRunner(classes=["baseline"])
-
-    def test_applicable_classes_gate_on_envelopes(self):
-        runner = DifferentialRunner()
-        # Window-exact, not hybrid-eligible.
-        spec = tiny_spec(aqm="red")
-        assert runner.applicable_classes(spec) == \
-            ["scheduler", "window", "forensics"]
-        dctcp = spec.replace(flows=(
-            FlowSpec("dctcp", "s0", "recv", 16384),))
-        assert "window" not in runner.applicable_classes(dctcp)
+        for removed in ("scheduler", "window", "hybrid"):
+            with pytest.raises(ValueError, match="unknown matrix"):
+                DifferentialRunner(classes=[removed])
 
     def test_matrix_agrees_on_a_tiny_scenario(self):
-        runner = DifferentialRunner(
-            classes=["scheduler", "window", "forensics"])
+        runner = DifferentialRunner()
         verdict = runner.run(tiny_spec(aqm="red"))
         assert verdict.ok, [str(v) for v in verdict.violations]
-        assert set(verdict.outcomes) == \
-            {"baseline", "scheduler", "window", "forensics"}
+        assert set(verdict.outcomes) == {"baseline", "forensics"}
         digests = {outcome_digest(o)
                    for o in verdict.outcomes.values()}
         assert len(digests) == 1
-        assert verdict.skipped == []
-
-    def test_window_skip_is_reported(self):
-        runner = DifferentialRunner(classes=["window"])
-        verdict = runner.run(tiny_spec(pfc=True, aqm="red"))
-        assert verdict.skipped == ["window"]
-        assert list(verdict.outcomes) == ["baseline"]
 
 
 class TestRunScenario:
-    def test_hybrid_variant_requires_eligibility(self):
-        with pytest.raises(ValueError, match="hybrid"):
-            run_scenario(tiny_spec(), MATRIX["hybrid"])
-
     def test_outcome_shape(self):
         outcome = run_scenario(tiny_spec())
         assert outcome.aborted is None
@@ -423,7 +343,7 @@ class TestRunScenario:
 
 class TestShrinkerValueGuard:
     def test_refuses_a_spec_that_does_not_trip(self):
-        runner = DifferentialRunner(classes=["scheduler"])
+        runner = DifferentialRunner(classes=["forensics"])
         with pytest.raises(ValueError, match="does not trip"):
             Shrinker(runner).shrink(tiny_spec(), "bit_identical")
 
@@ -431,9 +351,9 @@ class TestShrinkerValueGuard:
 class TestCapsuleRoundTrip:
     def test_check_scenario_clean_path(self):
         spec = tiny_spec()
-        result = check_scenario(spec.to_dict(), matrix=["scheduler"])
+        result = check_scenario(spec.to_dict(), matrix=["forensics"])
         assert result["spec_key"] == spec.key()
-        assert result["variants_run"] == ["baseline", "scheduler"]
+        assert result["variants_run"] == ["baseline", "forensics"]
 
     def test_check_scenario_raises_on_violation(self):
         # An aborting scenario (absurdly low event budget is not
@@ -441,16 +361,16 @@ class TestCapsuleRoundTrip:
         # flow that cannot finish in the run on a lossless star).
         spec = tiny_spec(size=4 * 1024 * 1024, duration=0.002)
         with pytest.raises(OracleViolation) as excinfo:
-            check_scenario(spec.to_dict(), matrix=["scheduler"])
+            check_scenario(spec.to_dict(), matrix=["forensics"])
         assert "liveness" in excinfo.value.oracles
 
     def test_capsule_replay_round_trip(self, tmp_path):
         spec = tiny_spec(size=4 * 1024 * 1024, duration=0.002)
-        runner = DifferentialRunner(classes=["scheduler"])
+        runner = DifferentialRunner(classes=["forensics"])
         verdict = runner.run(spec)
         assert not verdict.ok
         capsule = capsule_for_verdict(verdict, fuzz_seed=9, index=4,
-                                      matrix=["scheduler"])
+                                      matrix=["forensics"])
         path = write_capsule(capsule, tmp_path)
         assert path.exists()
         result = replay_capsule(path)
@@ -470,7 +390,7 @@ class TestRunFuzz:
             run_fuzz(budget=0)
 
     def test_small_campaign_is_clean(self):
-        report = run_fuzz(budget=2, seed=0, matrix=["scheduler"])
+        report = run_fuzz(budget=2, seed=0, matrix=["forensics"])
         assert report.ok
         assert report.scenarios_run == 2
         assert report.findings == []
@@ -479,7 +399,7 @@ class TestRunFuzz:
     def test_campaign_bumps_metrics(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            run_fuzz(budget=1, seed=1, matrix=["scheduler"])
+            run_fuzz(budget=1, seed=1, matrix=["forensics"])
         assert registry.counter(
             "qa.fuzz.scenarios_total").value == 1
         assert registry.gauge(
@@ -490,7 +410,7 @@ class TestFuzzCLI:
     def test_fuzz_smoke(self, capsys, tmp_path):
         from repro.__main__ import main
         rc = main(["fuzz", "--budget", "1", "--seed", "0",
-                   "--matrix", "scheduler",
+                   "--matrix", "forensics",
                    "--capsule-dir", str(tmp_path / "capsules")])
         assert rc == 0
         out = capsys.readouterr().out
@@ -512,7 +432,7 @@ class TestFuzzCLI:
         from repro.__main__ import main
         from repro.obs.runlog import read_events
         rc = main(["fuzz", "--budget", "1", "--seed", "0",
-                   "--matrix", "scheduler",
+                   "--matrix", "forensics",
                    "--capsule-dir", str(tmp_path / "capsules"),
                    "--telemetry", str(tmp_path / "telemetry")])
         assert rc == 0

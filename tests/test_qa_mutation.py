@@ -1,10 +1,13 @@
-"""Acceptance path: an injected engine bug travels the whole harness.
+"""Acceptance path: an injected observation bug travels the whole harness.
 
-A deliberately broken :class:`CalendarScheduler` (a 1 ns skew on a
-subset of pushed entries -- the kind of off-by-one-tick defect a real
-scheduler regression would introduce) must be
+A deliberately broken :class:`~repro.obs.forensics.FlowLedger` hook
+(``on_enqueue`` sets the CE mark on every 7th enqueued data packet --
+the kind of side effect a real forensics regression would introduce
+by writing where it should only read) must be
 
-1. caught by the ``bit_identical`` oracle of the differential matrix,
+1. caught by the forensics off/on ``bit_identical`` oracle of the
+   differential matrix (the per-run oracles see a valid, merely
+   different, run),
 2. reduced by the :class:`~repro.qa.shrink.Shrinker` to a smaller
    scenario that still trips the same oracle, and
 3. persisted as a crash capsule that *reproduces* under ``repro
@@ -12,8 +15,7 @@ scheduler regression would introduce) must be
    mutation is reverted (the fixed-bug / regression-corpus workflow).
 """
 
-import pytest
-
+from repro.obs.forensics import FlowLedger
 from repro.perf.resilience import replay_capsule
 from repro.qa import (
     DifferentialRunner,
@@ -23,23 +25,25 @@ from repro.qa import (
     Shrinker,
 )
 from repro.qa.capsule import capsule_for_verdict, write_capsule
-from repro.sim.scheduler import CalendarScheduler
 
-_REAL_PUSH = CalendarScheduler.push
+_REAL_ON_ENQUEUE = FlowLedger.on_enqueue
+_REAL_REGISTER_FLOW = FlowLedger.register_flow
 
 
-def _skewed_push(self, entry):
-    """The injected bug: every 7th-ish entry lands 1 ns late.
+def _marking_on_enqueue(self, port, packet):
+    """The injected bug: every 7th enqueued data packet turns CE.
 
-    Time only ever *increases*, so the scheduler's own invariants
-    (entries never precede the cursor, serve order stays sorted)
-    hold -- the mutation is invisible to the per-run oracles and
-    detectable only by differencing against the heap baseline.
+    Only ledger-attached runs execute the hook, so the baseline is
+    untouched and the forensics run receives spurious marks -- its
+    receivers send CNPs the baseline never sends.
     """
-    time, seq, event = entry
-    if seq % 7 == 3:
-        entry = (time + 1e-9, seq, event)
-    _REAL_PUSH(self, entry)
+    _REAL_ON_ENQUEUE(self, port, packet)
+    if packet.kind != "data":
+        return
+    count = getattr(self, "_mutation_enqueues", 0) + 1
+    self._mutation_enqueues = count
+    if count % 7 == 3:
+        packet.ecn_marked = True
 
 
 def mutation_spec():
@@ -59,19 +63,19 @@ def mutation_spec():
 
 class TestDeliberateMutation:
     def test_clean_engine_passes_the_matrix(self):
-        runner = DifferentialRunner(classes=["scheduler"])
+        runner = DifferentialRunner(classes=["forensics"])
         verdict = runner.run(mutation_spec())
         assert verdict.ok, [str(v) for v in verdict.violations]
 
     def test_mutation_is_caught_shrunk_and_replayed(self, tmp_path,
                                                     monkeypatch):
         spec = mutation_spec()
-        runner = DifferentialRunner(classes=["scheduler"])
+        runner = DifferentialRunner(classes=["forensics"])
 
         with monkeypatch.context() as patch:
-            patch.setattr(CalendarScheduler, "push", _skewed_push)
+            patch.setattr(FlowLedger, "on_enqueue", _marking_on_enqueue)
 
-            # 1. The oracle catches the mutation.
+            # 1. Only the off/on oracle catches the mutation.
             verdict = runner.run(spec)
             assert verdict.oracles_failed() == ["bit_identical"]
 
@@ -88,7 +92,7 @@ class TestDeliberateMutation:
             # 3. The capsule reproduces while the bug is live.
             capsule = capsule_for_verdict(
                 result.verdict, fuzz_seed=0, index=0,
-                matrix=["scheduler"])
+                matrix=["forensics"])
             assert capsule.fn == "repro.qa.capsule:check_scenario"
             assert capsule.error_type == "OracleViolation"
             path = write_capsule(capsule, tmp_path)
@@ -100,24 +104,26 @@ class TestDeliberateMutation:
         # 4. With the mutation reverted ("bug fixed"), the same
         # capsule replays clean -- exactly what the regression
         # corpus asserts about shipped code.
-        assert CalendarScheduler.push is _REAL_PUSH
+        assert FlowLedger.on_enqueue is _REAL_ON_ENQUEUE
         replay = replay_capsule(path)
         assert not replay.reproduced
 
-    def test_mutated_tie_order_is_caught(self, monkeypatch):
-        # A second, orthogonal defect family: breaking the (time,
-        # seq) FIFO tie contract instead of the clock.  Simultaneous
-        # events serve LIFO under the mutation, which the digest of
-        # any tie-heavy scenario (incast, simultaneous starts)
-        # exposes.
-        def lifo_ties(self, entry):
-            time, seq, event = entry
-            _REAL_PUSH(self, (time, -seq, event))
+    def test_mutated_sender_state_is_caught(self, monkeypatch):
+        # A second, orthogonal defect family: the ledger reaching
+        # into protocol state instead of packet fields.  Nudging each
+        # registered sender's rate shifts its pacing clock, which the
+        # trace digest exposes.
+        def nudging_register_flow(self, flow, protocol=None,
+                                  sender=None):
+            _REAL_REGISTER_FLOW(self, flow, protocol=protocol,
+                                sender=sender)
+            sender.rate = sender.rate * (1.0 - 1e-6)
 
         spec = mutation_spec().replace(faults=(),
                                        param_overrides={})
-        runner = DifferentialRunner(classes=["scheduler"])
+        runner = DifferentialRunner(classes=["forensics"])
         with monkeypatch.context() as patch:
-            patch.setattr(CalendarScheduler, "push", lifo_ties)
+            patch.setattr(FlowLedger, "register_flow",
+                          nudging_register_flow)
             verdict = runner.run(spec)
         assert "bit_identical" in verdict.oracles_failed()

@@ -499,6 +499,13 @@ class TestSamplingProfiler:
         import sys
         assert classify_frame(sys._getframe()) == "other"
 
+    def test_classify_frame_in_dde_integrator_is_fluid(self):
+        from repro.core.fluid import dde
+        namespace = {}
+        exec(compile("import sys\nframe = sys._getframe()",
+                     dde.__file__, "exec"), namespace)
+        assert classify_frame(namespace["frame"]) == "fluid"
+
     def test_publish_writes_gauges(self):
         registry = MetricsRegistry()
         with SamplingProfiler(interval=0.001) as profiler:

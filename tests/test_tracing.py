@@ -10,7 +10,7 @@ from repro.core.params import DCQCNParams
 from repro.sim.red import REDMarker
 from repro.sim.engine import Simulator
 from repro.sim.link import Link, Port
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.topology import install_flow, single_switch
 from repro.sim.tracing import PacketTracer
 
@@ -138,18 +138,6 @@ class TestRecording:
         assert tracer.filtered_events == 1
 
 
-class BatchSink:
-    """Sink with a batched entry point (keeps ports window-capable)."""
-
-    name = "sink"
-
-    def receive(self, packet, ingress=None):
-        pass
-
-    def receive_window(self, payload, arrivals, ingress=None):
-        pass
-
-
 class TestDropVisibility:
     def _drop_three(self, tracer_factory):
         # capacity 2048 B: the first packet goes straight to the
@@ -212,77 +200,18 @@ class TestDropVisibility:
         assert tracer.marked_fraction() == pytest.approx(0.5)
 
 
-class TestWindowChaining:
-    def test_tracer_keeps_port_window_capable(self):
-        sim = Simulator()
-        port = Port(sim, 1e9, Link(sim, 0.0, BatchSink()), name="p0",
-                    batch_window=4)
-        assert port._window_capable()
-        tracer = PacketTracer(sim)
-        tracer.attach(port)
-        # The tracer installs the window companion alongside
-        # on_transmit, so attaching it must not kick the port onto
-        # the slow scalar path.
-        assert port.on_transmit is not None
-        assert port._window_capable()
-
-    def test_scalar_only_hook_still_disables_window(self):
-        sim = Simulator()
-        port = Port(sim, 1e9, Link(sim, 0.0, BatchSink()), name="p0",
-                    batch_window=4)
-        port.on_transmit = lambda packet: None
-        assert not port._window_capable()
-
-    def test_window_departures_recorded(self):
-        sim = Simulator()
-        port = Port(sim, 1e9, Link(sim, 0.0, BatchSink()), name="p0",
-                    batch_window=4)
-        tracer = PacketTracer(sim)
-        tracer.attach(port)
-        port.send_batch(PacketBatch.uniform(0, 6, 1024, "s", "sink"))
-        sim.run()
-        assert port.packets_transmitted == 6
-        assert [e.seq for e in tracer.events] == list(range(6))
-        times = [e.time for e in tracer.events]
-        assert times == sorted(times)
-        # Finish stamps follow the serialization recurrence exactly.
-        for gap in tracer.interarrival_times():
-            assert gap == pytest.approx(1024 / 1e9, rel=1e-12)
-
-    def test_window_path_respects_filters_and_cap(self):
-        sim = Simulator()
-        port = Port(sim, 1e9, Link(sim, 0.0, BatchSink()), name="p0",
-                    batch_window=4)
-        tracer = PacketTracer(sim, flow_ids=[0], max_events=3)
-        tracer.attach(port)
-        port.send_batch(PacketBatch.uniform(0, 5, 1024, "s", "sink"))
-        sim.run()
-        port.send_batch(PacketBatch.uniform(9, 2, 1024, "s", "sink"))
-        sim.run()
-        assert len(tracer.events) == 3
-        assert tracer.dropped_events == 2     # flow 0 beyond the cap
-        assert tracer.filtered_events == 2    # the flow-9 batch
-
-
-def _trace_stream(ops, scheduler, batch_window):
+def _trace_stream(ops):
     """Drive one port with ``ops`` and return its event stream."""
-    sim = Simulator(scheduler=scheduler)
-    port = Port(sim, 1e9, Link(sim, 0.0, BatchSink()), name="p0",
-                batch_window=batch_window)
+    sim = Simulator()
+    port = Port(sim, 1e9, Link(sim, 0.0, Sink()), name="p0")
     tracer = PacketTracer(sim)
     tracer.attach(port)
     seq = 0
-    for when, batched, count, size in ops:
-        if batched:
-            sim.schedule_at(when, port.send_batch,
-                            PacketBatch.uniform(0, count, size, "s",
-                                                "sink",
-                                                seq_start=seq))
-        else:
-            for i in range(count):
-                sim.schedule_at(when, port.send,
-                                Packet(0, size, "s", "sink",
-                                       kind="data", seq=seq + i))
+    for when, count, size in ops:
+        for i in range(count):
+            sim.schedule_at(when, port.send,
+                            Packet(0, size, "s", "sink",
+                                   kind="data", seq=seq + i))
         seq += count
     sim.run()
     return [(e.time, e.port_name, e.kind, e.flow_id, e.seq,
@@ -292,37 +221,29 @@ def _trace_stream(ops, scheduler, batch_window):
 
 @st.composite
 def _op_schedules(draw):
-    """Injection schedules mixing batches and scalar bursts."""
+    """Injection schedules of packet bursts."""
     n = draw(st.integers(min_value=1, max_value=4))
     times = draw(st.lists(st.integers(min_value=0, max_value=40),
                           min_size=n, max_size=n, unique=True))
     return [(t * 1e-6,
-             draw(st.booleans()),
              draw(st.integers(min_value=1, max_value=6)),
              draw(st.sampled_from((512, 1024, 1500))))
             for t in sorted(times)]
 
 
-class TestSchedulerWindowEquivalence:
-    """ISSUE 9 property: one trace, whatever the engine internals.
-
-    The tracer stream (times, identities, flags) must be invariant
-    across the heap and calendar schedulers and across the scalar vs
-    vectorized-window transmit paths -- otherwise traces could not be
-    compared between runs that differ only in engine configuration.
-    """
+class TestStreamProperties:
+    """Every packet is recorded once, in serve order, and a rerun of
+    the same injection schedule reproduces the stream exactly."""
 
     @settings(max_examples=40, deadline=None)
     @given(ops=_op_schedules())
     def test_identical_streams(self, ops):
-        reference = _trace_stream(ops, "heap", None)
-        assert len(reference) == sum(op[2] for op in ops)
-        for scheduler in ("heap", "calendar"):
-            for batch_window in (None, 4):
-                if (scheduler, batch_window) == ("heap", None):
-                    continue
-                assert _trace_stream(ops, scheduler, batch_window) \
-                    == reference, (scheduler, batch_window)
+        reference = _trace_stream(ops)
+        assert len(reference) == sum(op[1] for op in ops)
+        assert [e[4] for e in reference] == list(range(len(reference)))
+        times = [e[0] for e in reference]
+        assert times == sorted(times)
+        assert _trace_stream(ops) == reference
 
 
 class TestOnRealScenario:

@@ -320,33 +320,34 @@ class TestServeTailer:
             watch()
 
 
-class TestCompareEngines:
-    def bench(self, tmp_path, name, batched_pps, tolerance_ok):
-        (tmp_path / name).write_text(json.dumps({
-            "version": 7,
-            "engines": {
-                "batched": {"port_packets_per_sec": batched_pps},
-                "hybrid": {
-                    "tail_mean_within_tolerance": tolerance_ok,
-                    "cov_ordering_preserved": True}}}))
+class TestCompareDroppedSection:
+    """A bench section deleted along with its code reads as removed."""
+
+    def bench(self, tmp_path, name, report):
+        (tmp_path / name).write_text(json.dumps(report))
         return tmp_path / name
 
-    def test_batched_throughput_drop_names_engine(self, tmp_path):
-        a = self.bench(tmp_path, "a.json", 1000.0, True)
-        b = self.bench(tmp_path, "b.json", 400.0, True)
+    def test_dropped_section_is_removed_not_regressed(self, tmp_path):
+        micro = {"event_loop_events_per_sec": 1000.0}
+        a = self.bench(tmp_path, "a.json", {
+            "micro": micro,
+            "engines": {
+                "calendar": {"event_loop_events_per_sec": 600.0},
+                "hybrid": {"tail_mean_within_tolerance": True}}})
+        b = self.bench(tmp_path, "b.json", {"micro": micro})
         report = compare(a, b)
-        assert [d.name for d in report.regressions] \
-            == ["engines.batched.port_packets_per_sec"]
+        assert report.removed == [
+            "engines.calendar.event_loop_events_per_sec",
+            "engines.hybrid.tail_mean_within_tolerance"]
+        assert not report.has_regressions
+        assert report.exit_code(fail_on_regression=True) == 0
 
-    def test_tolerance_flag_flip_is_regression(self, tmp_path):
-        a = self.bench(tmp_path, "a.json", 1000.0, True)
-        b = self.bench(tmp_path, "b.json", 1000.0, False)
+    def test_identical_flag_flip_is_regression(self, tmp_path):
+        a = self.bench(tmp_path, "a.json", {
+            "sweeps": {"ext_stability_map": {"identical": True}}})
+        b = self.bench(tmp_path, "b.json", {
+            "sweeps": {"ext_stability_map": {"identical": False}}})
         report = compare(a, b)
         assert [d.name for d in report.regressions] \
-            == ["engines.hybrid.tail_mean_within_tolerance"]
+            == ["sweeps.ext_stability_map.identical"]
         assert report.exit_code(fail_on_regression=True) == 1
-
-    def test_identical_engines_clean(self, tmp_path):
-        a = self.bench(tmp_path, "a.json", 1000.0, True)
-        b = self.bench(tmp_path, "b.json", 1010.0, True)
-        assert not compare(a, b).has_regressions
