@@ -111,9 +111,9 @@ class FleetAggregator:
             raise ValueError("FleetAggregator needs a root, "
                              "queue_dir or telemetry_dir")
         root = Path(root) if root is not None else None
-        self.queue_dir = Path(queue_dir) if queue_dir is not None \
-            else root if root is not None \
-            and (root / "workers").is_dir() else None
+        self._root = root
+        self._queue_dir = Path(queue_dir) if queue_dir is not None \
+            else None
         if telemetry_dir is not None:
             self.telemetry_dir: Optional[Path] = Path(telemetry_dir)
         else:
@@ -123,6 +123,18 @@ class FleetAggregator:
         self._tailers: Dict[Path, RunLogTailer] = {}
         self._shard_experiment: Dict[Path, str] = {}
         self._events: List[dict] = []
+
+    @property
+    def queue_dir(self) -> Optional[Path]:
+        """The explicit ``queue_dir``, else ``root`` once it holds a
+        ``workers/`` subdirectory.  Detected on every access, so a
+        plane started before the first worker registers still picks
+        the fleet up."""
+        if self._queue_dir is not None:
+            return self._queue_dir
+        if self._root is not None and (self._root / "workers").is_dir():
+            return self._root
+        return None
 
     # -- worker registrations ---------------------------------------------
 

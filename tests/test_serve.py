@@ -131,6 +131,16 @@ class TestFleetAggregator:
         bare.mkdir()
         assert FleetAggregator(bare).queue_dir is None
 
+    def test_root_detects_queue_dir_created_later(self, tmp_path):
+        """A plane started before any worker registers still merges
+        the fleet once the first registration appears."""
+        aggregator = FleetAggregator(tmp_path)
+        assert aggregator.queue_dir is None
+        register_worker(tmp_path, "w1", completed=3)
+        assert aggregator.queue_dir == tmp_path
+        assert "perf_worker_cells_completed 3.0" in \
+            aggregator.metrics_text().splitlines()
+
     def test_merged_counter_sums_and_labels(self, tmp_path):
         register_worker(tmp_path, "w1", completed=2)
         register_worker(tmp_path, "w2", completed=3)
