@@ -7,7 +7,7 @@ Usage::
     python -m repro run fig04 fig20      # several
     python -m repro run all              # everything (minutes!)
     python -m repro run fig14 --workers 4 --cache
-    python -m repro run fig14 --resume --cell-timeout 300
+    python -m repro run fig14 --workers 2 --resume --cell-timeout 300
     python -m repro run fig04 --telemetry obs/   # metrics + run log
     python -m repro run ext_incast_pfc --telemetry obs/ --forensics
     python -m repro explain obs/ext_incast_pfc-*.jsonl --worst 3
@@ -20,17 +20,13 @@ Usage::
     python -m repro bench                # write BENCH_PR7.json
     python -m repro fuzz --budget 50 --seed 0 --shrink  # conformance
     python -m repro run fig05 --profile          # sampling profiler
-    python -m repro worker /shared/queue         # drain a sweep queue
-    python -m repro run fig14 --backend queue --queue-dir /shared/queue
-    python -m repro serve /shared/queue          # live fleet metrics/events
-    python -m repro watch --serve http://host:9876   # remote dashboard
-    python -m repro report --fleet /shared/queue # stitched fleet trace
 
 Each run prints the table of numbers the corresponding paper figure
 plots, via the same drivers the benchmarks use.  ``--workers`` fans
-grid experiments over processes and ``--cache`` memoizes their cells
-on disk (see :mod:`repro.perf`); both are accepted by every
-experiment and ignored by those without a sweep to accelerate.
+grid experiments over a local process pool and ``--cache``
+memoizes their cells on disk (see :mod:`repro.perf`); both are
+accepted by every experiment and ignored by those without a sweep to
+accelerate.
 ``--telemetry DIR`` records each run's metrics, spans, warnings and
 health findings into DIR (see :mod:`repro.obs`); ``report`` turns the
 resulting JSONL logs back into human-readable dashboards, ``watch``
@@ -46,28 +42,12 @@ storm throttled it).
 ``--resume`` journals every completed sweep cell so a crashed or
 interrupted run picks up where it stopped, bit-identical to an
 uninterrupted one; ``--cell-timeout``/``--cell-retries`` bound how
-long a single cell may hang and how often it is retried before being
-quarantined.  A quarantined cell leaves a crash capsule that
-``replay`` re-executes serially (optionally under ``--telemetry``)
-to reproduce the original failure for debugging (see
-:mod:`repro.perf.resilience`).
+long a single cell may hang (parallel sweeps only) and how often it
+is retried before being quarantined.  A quarantined cell leaves a
+crash capsule that ``replay`` re-executes serially (optionally under
+``--telemetry``) to reproduce the original failure for debugging
+(see :mod:`repro.perf.resilience`).
 
-``--backend queue --queue-dir DIR`` dispatches sweep cells through a
-shared-filesystem job queue drained by any number of ``python -m
-repro worker DIR`` processes -- on this host or others mounting the
-same directory (see :mod:`repro.perf.backend`).  Workers heartbeat
-their leases; dead workers' cells are re-leased automatically, and a
-coordinator that sees no live worker degrades back to local
-execution instead of hanging.
-
-``serve`` exposes the fleet observability plane over HTTP next to a
-queue or telemetry directory: merged Prometheus ``/metrics``
-(coordinator + per-worker heartbeat snapshots), a ``/events`` SSE
-stream of the run-log shards, ``/fleet`` liveness JSON and the
-stitched ``/trace`` tree (see :mod:`repro.obs.serve`).  ``watch
---serve URL`` follows such a plane from a host without the shared
-filesystem, and ``report --fleet DIR`` renders the coordinator ->
-workers -> cells trace tree of the latest distributed sweep.
 ``run --profile`` samples the engine hot loops from a sidecar thread
 (:mod:`repro.obs.profile`) and prints where the wall time went.
 """
@@ -133,45 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retries before a failing cell is "
                           "quarantined as a CellFailure with a crash "
                           "capsule (default 1 when resilience is on)")
-    run.add_argument("--backend", default="auto",
-                     choices=["auto", "inprocess", "pool", "queue"],
-                     help="where sweep cells execute: auto (serial/"
-                          "pool by --workers), inprocess, pool, or "
-                          "queue (distributed via --queue-dir; "
-                          "default auto)")
-    run.add_argument("--queue-dir", default=None, metavar="DIR",
-                     help="shared queue directory for --backend "
-                          "queue; start workers with 'python -m "
-                          "repro worker DIR'")
-    run.add_argument("--lease-ttl", type=float, default=None,
-                     metavar="S",
-                     help="seconds without a heartbeat before a "
-                          "queue lease is re-assigned (default 10)")
-    run.add_argument("--worker-grace", type=float, default=None,
-                     metavar="S",
-                     help="seconds the queue coordinator waits for "
-                          "any live worker before degrading to "
-                          "local execution (default 20)")
-
     report = sub.add_parser(
         "report", help="render telemetry run logs as dashboards")
     report.add_argument("runlog",
                         help="a <run-id>.jsonl file written by "
                              "--telemetry, or a directory of them "
-                             "(every *.jsonl inside is rendered); "
-                             "with --fleet, a queue directory "
-                             "holding traces/ shards")
+                             "(every *.jsonl inside is rendered)")
     report.add_argument("--validate-only", action="store_true",
                         help="check the log(s) against the RunLog "
                              "schema and exit without rendering")
-    report.add_argument("--fleet", action="store_true",
-                        help="render the stitched cross-host trace "
-                             "tree of a distributed sweep instead of "
-                             "run-log dashboards")
-    report.add_argument("--trace-id", default=None, metavar="ID",
-                        help="with --fleet, pick a specific trace "
-                             "(default: the most recent)")
-
     explain = sub.add_parser(
         "explain", help="per-flow FCT attribution and causal chain "
                         "from a --forensics run log")
@@ -193,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch", help="live dashboard tailing a run log as it is "
                       "written")
-    watch.add_argument("target", nargs="?", default=None,
+    watch.add_argument("target",
                        help="a run-log .jsonl path, or a telemetry "
                             "directory (newest log inside is "
-                            "followed); omit with --serve")
+                            "followed)")
     watch.add_argument("--experiment", default=None, metavar="ID",
                        help="with a directory target, follow the "
                             "newest log of this experiment")
@@ -205,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "(default 0.5s)")
     watch.add_argument("--once", action="store_true",
                        help="render the current state once and exit")
-    watch.add_argument("--serve", default=None, metavar="URL",
-                       dest="serve_url",
-                       help="follow a 'repro serve' plane's "
-                            "/events.json instead of a local file "
-                            "(e.g. http://host:9876)")
-
     compare = sub.add_parser(
         "compare", help="diff two runs: bench reports or telemetry "
                         "dirs, with noise-aware thresholds")
@@ -245,34 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker count for the sweep section")
     bench.add_argument("--full", action="store_true",
                        help="also time the (slow) FCT study sweep")
-
-    worker = sub.add_parser(
-        "worker", help="serve a shared sweep-queue directory: claim "
-                       "cells, heartbeat leases, park results")
-    worker.add_argument("queue_dir",
-                        help="the queue directory coordinators "
-                             "dispatch into (--queue-dir on 'run')")
-    worker.add_argument("--worker-id", default=None, metavar="ID",
-                        help="registration name (default host-pid)")
-    worker.add_argument("--lease-ttl", type=float, default=None,
-                        metavar="S",
-                        help="lease/heartbeat TTL; must match the "
-                             "coordinator's (default 10)")
-    worker.add_argument("--poll", type=float, default=0.2,
-                        metavar="S",
-                        help="sleep between empty queue scans "
-                             "(default 0.2s)")
-    worker.add_argument("--max-idle", type=float, default=None,
-                        metavar="S",
-                        help="exit after this long with nothing to "
-                             "do (default: serve forever)")
-    worker.add_argument("--max-cells", type=int, default=None,
-                        metavar="N",
-                        help="exit after processing N cells "
-                             "(default: unbounded)")
-    worker.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="record this worker's cell events and "
-                             "metrics into DIR")
 
     fuzz = sub.add_parser(
         "fuzz", help="differential chaos-conformance fuzzing: "
@@ -310,25 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--telemetry", metavar="DIR", default=None,
                       help="record qa.* metrics and run-log 'fuzz' "
                            "events into DIR")
-
-    serve = sub.add_parser(
-        "serve", help="HTTP observability plane: merged /metrics, "
-                      "/events stream, /fleet liveness, /trace tree")
-    serve.add_argument("root",
-                       help="a queue directory (workers/ inside), a "
-                            "telemetry directory of run logs, or a "
-                            "directory that is both")
-    serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                       help="bind address (default 127.0.0.1; "
-                            "0.0.0.0 exposes the plane to the fleet)")
-    serve.add_argument("--port", type=int, default=9876, metavar="N",
-                       help="bind port (default 9876; 0 picks a "
-                            "free port and prints it)")
-    serve.add_argument("--worker-ttl", type=float, default=None,
-                       metavar="S",
-                       help="seconds before a worker registration "
-                            "(and its metrics snapshot) stops "
-                            "counting as live (default 30)")
     return parser
 
 
@@ -393,21 +290,6 @@ def _print_failures(name: str, failures) -> None:
                   f"{failure.capsule_path}")
 
 
-def _build_backend(backend_spec: "str | None",
-                   queue_dir: "str | None",
-                   lease_ttl: "float | None",
-                   worker_grace: "float | None"):
-    """Translate the backend CLI flags into a backend (or None)."""
-    from repro.perf import backend as _backend
-    kwargs: dict = {}
-    if lease_ttl is not None:
-        kwargs["lease_ttl"] = lease_ttl
-    if worker_grace is not None:
-        kwargs["worker_grace"] = worker_grace
-    return _backend.resolve_backend(backend_spec, queue_dir=queue_dir,
-                                    **kwargs)
-
-
 def run_experiments(names: List[str],
                     csv_dir: "str | None" = None,
                     workers: Optional[int] = None,
@@ -418,10 +300,6 @@ def run_experiments(names: List[str],
                     resume: bool = False,
                     cell_timeout: Optional[float] = None,
                     cell_retries: Optional[int] = None,
-                    backend: "str | None" = None,
-                    queue_dir: "str | None" = None,
-                    lease_ttl: Optional[float] = None,
-                    worker_grace: Optional[float] = None,
                     profile: bool = False,
                     forensics: bool = False) -> int:
     if forensics and telemetry_dir is None:
@@ -437,12 +315,6 @@ def run_experiments(names: List[str],
         print("use 'python -m repro list' to see what exists",
               file=sys.stderr)
         return 2
-    try:
-        backend_obj = _build_backend(backend, queue_dir, lease_ttl,
-                                     worker_grace)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
     cache = None
     cache_baseline: dict = {}
     if use_cache or cache_dir is not None:
@@ -451,7 +323,6 @@ def run_experiments(names: List[str],
     resilience = _build_resilience(resume, cell_timeout, cell_retries,
                                    cache_dir)
     quarantined = 0
-    from repro.perf import use_backend
     for name in names:
         experiment = EXPERIMENTS[name]
         print(f"=== {name}: {experiment.description} ===")
@@ -474,13 +345,9 @@ def run_experiments(names: List[str],
                 # the log closes; the later stop() is a no-op.
                 telemetry.profiler = profiler
         try:
-            # The ambient default reaches every SweepRunner the
-            # experiment builds internally, so sweeps run distributed
-            # without each experiment growing a backend parameter.
-            with use_backend(backend_obj):
-                result = experiment.run(workers=workers, cache=cache,
-                                        telemetry=telemetry,
-                                        resilience=resilience)
+            result = experiment.run(workers=workers, cache=cache,
+                                    telemetry=telemetry,
+                                    resilience=resilience)
         finally:
             if profiler is not None:
                 profiler.stop()
@@ -620,74 +487,6 @@ def replay_crash_capsule(path: str,
     return 0
 
 
-def run_worker(queue_dir: str,
-               worker_id: "str | None" = None,
-               lease_ttl: "float | None" = None,
-               poll: float = 0.2,
-               max_idle: "float | None" = None,
-               max_cells: "int | None" = None,
-               telemetry_dir: "str | None" = None) -> int:
-    """Serve a queue directory until stopped (the ``worker`` command).
-
-    Exit 0 on clean shutdown (SIGTERM, ``--max-idle``,
-    ``--max-cells``); the in-flight lease, if any, is released back
-    to the queue either way.
-    """
-    from repro.perf.backend import DEFAULT_LEASE_TTL
-    from repro.perf.worker import QueueWorker
-
-    worker = QueueWorker(
-        queue_dir, worker_id=worker_id,
-        lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None
-        else lease_ttl,
-        poll_interval=poll)
-    print(f"[worker {worker.worker_id} serving {queue_dir} "
-          f"(lease ttl {worker.lease_ttl:g}s)]")
-
-    def serve() -> int:
-        try:
-            return worker.run(max_cells=max_cells, max_idle=max_idle)
-        except KeyboardInterrupt:
-            return worker.completed
-
-    if telemetry_dir is not None:
-        from repro.obs import Telemetry
-        telemetry = Telemetry(telemetry_dir,
-                              experiment=f"worker-{worker.worker_id}")
-        with telemetry.activate():
-            completed = serve()
-        print(f"[run log: {telemetry.runlog_path}]")
-    else:
-        completed = serve()
-    print(f"[worker {worker.worker_id} done: {completed} cell(s) "
-          f"completed, {worker.failed} failed, {worker.stolen} "
-          f"stolen lease(s) recovered]")
-    return 0
-
-
-def serve_plane(root: str, host: str, port: int,
-                worker_ttl: "float | None" = None) -> int:
-    """Run the HTTP observability plane until interrupted."""
-    from repro.obs.serve import DEFAULT_WORKER_TTL, ObservabilityServer
-
-    try:
-        server = ObservabilityServer(
-            root=root, host=host, port=port,
-            worker_ttl=DEFAULT_WORKER_TTL if worker_ttl is None
-            else worker_ttl)
-    except (OSError, ValueError) as error:
-        print(f"cannot serve {root}: {error}", file=sys.stderr)
-        return 2
-    print(f"[observability plane for {root} at {server.url}]")
-    print("[endpoints: /metrics /events /events.json /fleet "
-          "/trace /healthz -- ctrl-c to stop]")
-    try:
-        server.serve_forever()
-    finally:
-        server.close()
-    return 0
-
-
 def report_runlog(path: str, validate_only: bool = False) -> int:
     """Validate (and by default render) ``--telemetry`` run logs.
 
@@ -774,10 +573,6 @@ def main(argv: "List[str] | None" = None) -> int:
         list_experiments()
         return 0
     if args.command == "report":
-        if args.fleet:
-            from repro.obs.report import render_fleet
-            print(render_fleet(args.runlog, trace_id=args.trace_id))
-            return 0
         return report_runlog(args.runlog,
                              validate_only=args.validate_only)
     if args.command == "explain":
@@ -788,8 +583,7 @@ def main(argv: "List[str] | None" = None) -> int:
         from repro.obs.live import watch
         try:
             return watch(args.target, experiment=args.experiment,
-                         interval=args.interval, once=args.once,
-                         serve_url=args.serve_url)
+                         interval=args.interval, once=args.once)
         except (FileNotFoundError, ValueError) as error:
             print(error, file=sys.stderr)
             return 2
@@ -809,17 +603,6 @@ def main(argv: "List[str] | None" = None) -> int:
         from repro.perf.bench import main as bench_main
         return bench_main(path=args.output, workers=args.workers,
                           full=args.full)
-    if args.command == "worker":
-        return run_worker(args.queue_dir,
-                          worker_id=args.worker_id,
-                          lease_ttl=args.lease_ttl,
-                          poll=args.poll,
-                          max_idle=args.max_idle,
-                          max_cells=args.max_cells,
-                          telemetry_dir=args.telemetry)
-    if args.command == "serve":
-        return serve_plane(args.root, host=args.host, port=args.port,
-                           worker_ttl=args.worker_ttl)
     if args.command == "fuzz":
         return run_fuzz_command(args.budget, args.seconds, args.seed,
                                 args.start_index, args.matrix,
@@ -834,10 +617,6 @@ def main(argv: "List[str] | None" = None) -> int:
                            resume=args.resume,
                            cell_timeout=args.cell_timeout,
                            cell_retries=args.cell_retries,
-                           backend=args.backend,
-                           queue_dir=args.queue_dir,
-                           lease_ttl=args.lease_ttl,
-                           worker_grace=args.worker_grace,
                            profile=args.profile,
                            forensics=args.forensics)
 

@@ -66,21 +66,19 @@ def run(flow_counts: Sequence[int] = DEFAULT_FLOWS,
         capacity_gbps: float = 40.0,
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        backend=None) -> List[StabilityMapRow]:
+        resilience: Optional[ResiliencePolicy] = None
+        ) -> List[StabilityMapRow]:
     """Compute the margin grid with the analytic linearization.
 
     ``workers`` fans the per-flow-count rows over processes;
     ``cache`` memoizes each row on disk; ``resilience`` adds
-    timeouts, retries, quarantine and crash-surviving resume;
-    ``backend`` overrides where cells execute, e.g. a
-    :class:`~repro.perf.QueueBackend` for multi-host runs (see
+    timeouts, retries, quarantine and crash-surviving resume (see
     :mod:`repro.perf`).  Results are identical to the serial,
     uncached, uninterrupted computation.
     """
     runner = SweepRunner(workers=workers, cache=cache,
                          experiment_id="ext_stability_map",
-                         resilience=resilience, backend=backend)
+                         resilience=resilience)
     cells = [{"num_flows": int(n), "delays_us": tuple(delays_us),
               "capacity_gbps": capacity_gbps} for n in flow_counts]
     return runner.map(compute_row, cells)

@@ -66,11 +66,7 @@ from repro.experiments import (ablations,
 #: rides along with the perf kwargs: sweep-backed experiments thread
 #: it into their :class:`~repro.perf.SweepRunner` for timeouts,
 #: retries, quarantine and ``--resume`` journaling; the rest drop it.
-#: ``backend`` (a :class:`~repro.perf.backend.SweepBackend`) likewise
-#: selects *where* cells execute -- note most callers instead install
-#: an ambient default via :func:`repro.perf.backend.use_backend`,
-#: which reaches every runner without threading a kwarg through.
-PERF_KWARGS = ("workers", "cache", "resilience", "backend")
+PERF_KWARGS = ("workers", "cache", "resilience")
 
 #: Uniform observability kwarg, handled by the registry wrapper
 #: itself (experiments never see it).
@@ -164,12 +160,11 @@ def _fig03_report(sweeps):
         sweeps, "Fig. 3(a) -- DCQCN phase margin vs N and delay")
 
 
-def _fig12_run(workers=None, cache=None, resilience=None,
-               backend=None, **kwargs):
+def _fig12_run(workers=None, cache=None, resilience=None, **kwargs):
     # The flow sweep is a handful of short fluid integrations; it
     # stays serial, so the uniform perf kwargs are accepted and
     # ignored here.
-    del workers, cache, resilience, backend
+    del workers, cache, resilience
     return [fig12_patched_timely.run_asymmetric()] \
         + fig12_patched_timely.run_flow_sweep(**kwargs)
 
@@ -178,12 +173,11 @@ def _fig14_run(**kwargs):
     return fct_study.run_load_sweep(**kwargs)
 
 
-def _fig16_run(workers=None, cache=None, resilience=None,
-               backend=None, **kwargs):
+def _fig16_run(workers=None, cache=None, resilience=None, **kwargs):
     from repro.perf import SweepRunner
     runner = SweepRunner(workers=workers, cache=cache,
                          experiment_id="fig16",
-                         resilience=resilience, backend=backend)
+                         resilience=resilience)
     cells = [{"protocol": protocol, "load": 0.8, **kwargs}
              for protocol in fct_study.STUDY_PROTOCOLS]
     return runner.map(fct_study.run_protocol, cells)

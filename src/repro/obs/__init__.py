@@ -48,14 +48,6 @@ the DDE fluid integrator, and the parallel sweep runner):
     telemetry directories or bench reports, with noise-aware
     thresholds and new/resolved health findings -- the CI gate.
 
-:mod:`repro.obs.serve`
-    ``python -m repro serve``: the fleet observability plane -- a
-    stdlib HTTP server next to a queue or telemetry directory
-    exposing merged Prometheus ``/metrics`` (coordinator registry +
-    per-worker heartbeat snapshots), a ``/events`` SSE stream of the
-    run-log shards, ``/fleet`` liveness JSON, and the stitched
-    cross-host ``/trace`` tree.
-
 :mod:`repro.obs.profile`
     Sampling profiler for the engine hot loops: a sidecar thread
     attributes wall time to port/protocol/engine/fluid frames
@@ -88,10 +80,7 @@ from repro.obs.profile import (SamplingProfiler, profiled,
                                publish_engine_rates)
 from repro.obs.runlog import RunLog, read_events, validate_file
 from repro.obs.scrape import scrape_network, scrape_port
-from repro.obs.serve import FleetAggregator, ObservabilityServer
-from repro.obs.spans import (SpanRecorder, build_fleet_tree,
-                             format_span_tree, new_trace_id,
-                             read_trace_records, span)
+from repro.obs.spans import SpanRecorder, format_span_tree, span
 from repro.obs.telemetry import Telemetry, current
 
 __all__ = [
@@ -100,8 +89,6 @@ __all__ = [
     "RunLog", "read_events", "validate_file",
     "scrape_network", "scrape_port",
     "SpanRecorder", "format_span_tree", "span",
-    "build_fleet_tree", "new_trace_id", "read_trace_records",
-    "FleetAggregator", "ObservabilityServer",
     "SamplingProfiler", "profiled", "publish_engine_rates",
     "Telemetry", "current",
     "Detector", "HealthFinding", "HealthMonitor", "HealthSession",

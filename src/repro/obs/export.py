@@ -31,67 +31,28 @@ def _prom_value(value) -> str:
     return repr(float(value))
 
 
-def _series(metric: str, labels: "Dict[str, str]") -> str:
-    """``metric{k="v",...}`` -- or the bare name with no labels."""
-    if not labels:
-        return metric
-    inner = ",".join(f'{key}="{value}"'
-                     for key, value in labels.items())
-    return f"{metric}{{{inner}}}"
-
-
-def prometheus_lines(snapshot: "Dict[str, dict]",
-                     labels: "Dict[str, str]" = None,
-                     type_lines: bool = True) -> "list[str]":
-    """The exposition lines for one snapshot, optionally labelled.
-
-    ``labels`` (e.g. ``{"worker": "host-1234"}``) is attached to
-    every series -- the fleet observability plane uses this to keep
-    per-worker gauges and histograms distinguishable after merging
-    many registries into one scrape.  ``type_lines=False`` suppresses
-    the ``# TYPE`` comments so a merger can emit them exactly once
-    per metric across sources.
-    """
-    labels = labels or {}
-    lines = []
-    for name, data in snapshot.items():
-        kind = data.get("type")
-        metric = _prom_name(name)
-        if kind == "counter":
-            if type_lines:
-                lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{_series(metric, labels)} "
-                         f"{_prom_value(data['value'])}")
-        elif kind == "gauge":
-            if type_lines:
-                lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{_series(metric, labels)} "
-                         f"{_prom_value(data['value'])}")
-        elif kind == "histogram":
-            if type_lines:
-                lines.append(f"# TYPE {metric} summary")
-            for q, value in sorted(data.get("quantiles", {}).items(),
-                                   key=lambda kv: float(kv[0])):
-                q_labels = dict(labels)
-                q_labels["quantile"] = q
-                lines.append(f"{_series(metric, q_labels)} "
-                             f"{_prom_value(value)}")
-            lines.append(f"{_series(metric + '_count', labels)} "
-                         f"{data['count']}")
-            lines.append(f"{_series(metric + '_sum', labels)} "
-                         f"{_prom_value(data['sum'])}")
-    return lines
-
-
-def to_prometheus(snapshot: "Dict[str, dict]",
-                  labels: "Dict[str, str]" = None) -> str:
+def to_prometheus(snapshot: "Dict[str, dict]") -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
     Counters and gauges map directly; histograms are exposed in the
     summary style -- ``name{quantile="0.9"}`` series plus ``_count``
     and ``_sum`` -- since P-squared tracks quantiles, not buckets.
     """
-    lines = prometheus_lines(snapshot, labels=labels)
+    lines = []
+    for name, data in snapshot.items():
+        kind = data.get("type")
+        metric = _prom_name(name)
+        if kind in ("counter", "gauge"):
+            lines.append(f"# TYPE {metric} {kind}")
+            lines.append(f"{metric} {_prom_value(data['value'])}")
+        elif kind == "histogram":
+            lines.append(f"# TYPE {metric} summary")
+            for q, value in sorted(data.get("quantiles", {}).items(),
+                                   key=lambda kv: float(kv[0])):
+                lines.append(f'{metric}{{quantile="{q}"}} '
+                             f"{_prom_value(value)}")
+            lines.append(f"{metric}_count {data['count']}")
+            lines.append(f"{metric}_sum {_prom_value(data['sum'])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

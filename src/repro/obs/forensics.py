@@ -1,9 +1,8 @@
 """Per-flow forensics: causal FCT attribution and the explain layer.
 
-Aggregate metrics (PR 3), health verdicts (PR 4) and the fleet plane
-(PR 8) answer "is this run healthy?".  This module answers the micro
-question those layers cannot: for one individual flow, *why* was its
-completion time what it was?
+Aggregate metrics and health verdicts answer "is this run healthy?".
+This module answers the micro question those layers cannot: for one
+individual flow, *why* was its completion time what it was?
 
 A :class:`FlowLedger` subscribes to cheap hooks in the simulation
 layer -- port enqueue/departure, PFC

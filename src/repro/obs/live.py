@@ -3,8 +3,9 @@
 ``python -m repro watch obs/`` follows the newest (or a named) run
 log while the experiment writes it from another process, showing run
 identity, the latest metrics snapshot, health findings as they fire,
-fault events, the slowest forensics-attributed flows (``--forensics``
-runs), and finally the run verdict.  Three pieces:
+sweep failures (quarantined cells, retries, timeouts, pool
+respawns), fault events, the slowest forensics-attributed flows
+(``--forensics`` runs), and finally the run verdict.  Three pieces:
 
 :class:`RunLogTailer`
     Incremental JSONL reader.  Remembers its byte offset between
@@ -43,6 +44,12 @@ DEFAULT_INTERVAL = 0.5
 TAIL_LINES = 8
 
 _SEVERITY_BADGE = {"info": "i", "warning": "!", "critical": "!!"}
+
+#: ``sweep`` events the dashboard counts, with their ``sweep:`` labels.
+SWEEP_COUNTS = {"cell_quarantined": "cell(s) quarantined",
+                "cell_retry": "retries",
+                "cell_timeout": "timeout(s)",
+                "pool_respawn": "pool respawn(s)"}
 
 
 class RunLogTailer:
@@ -89,43 +96,6 @@ class RunLogTailer:
         return events
 
 
-class ServeTailer:
-    """The :class:`RunLogTailer` twin over a ``repro serve`` plane.
-
-    Polls ``<base_url>/events.json?offset=N`` and resumes from the
-    returned offset, so a dashboard can follow a sweep on a host
-    that does not mount the queue filesystem at all.  Network
-    hiccups return an empty batch (the offset does not advance) --
-    same skip-don't-crash discipline as the file tailer.
-    """
-
-    def __init__(self, base_url: str,
-                 experiment: Optional[str] = None,
-                 timeout: float = 5.0):
-        self.base_url = base_url.rstrip("/")
-        self.experiment = experiment
-        self.timeout = timeout
-        self._offset = 0
-
-    def poll(self) -> List[dict]:
-        import urllib.parse
-        import urllib.request
-        query = {"offset": str(self._offset)}
-        if self.experiment:
-            query["experiment"] = self.experiment
-        url = (f"{self.base_url}/events.json?"
-               f"{urllib.parse.urlencode(query)}")
-        try:
-            with urllib.request.urlopen(
-                    url, timeout=self.timeout) as response:
-                payload = json.loads(
-                    response.read().decode("utf-8"))
-        except (OSError, ValueError):
-            return []
-        self._offset = int(payload.get("offset", self._offset))
-        return list(payload.get("events", []))
-
-
 class WatchState:
     """Latest-known view of a run, folded from its events in order."""
 
@@ -144,12 +114,8 @@ class WatchState:
         self.warnings: List[dict] = []
         self.status: Optional[str] = None
         self.wall_s: Optional[float] = None
-        #: Distributed-queue worker health, folded from ``worker``
-        #: events: worker id -> {status, completed, failed, last_ts}.
-        self.workers: Dict[str, dict] = {}
-        self.cells_stolen = 0
-        self.cells_quarantined = 0
-        self.backend_fallback: Optional[dict] = None
+        #: Sweep-runner failure counts, folded from ``sweep`` events.
+        self.sweep: Dict[str, int] = dict.fromkeys(SWEEP_COUNTS, 0)
         #: Flow-forensics fold (``--forensics`` runs): totals plus the
         #: slowest completed flows seen so far, worst first.
         self.flows = 0
@@ -182,67 +148,15 @@ class WatchState:
             self.faults.append(event)
         elif event_type == "warning":
             self.warnings.append(event)
-        elif event_type == "worker":
-            self._apply_worker(event)
+        elif event_type == "sweep":
+            kind = event.get("event")
+            if kind in self.sweep:
+                self.sweep[kind] += 1
         elif event_type == "flow":
             self._apply_flow(event)
         elif event_type == "run_end":
             self.status = event.get("status")
             self.wall_s = event.get("wall_s")
-
-    def _worker_slot(self, event: dict) -> Optional[dict]:
-        worker_id = event.get("worker")
-        if not worker_id:
-            return None
-        return self.workers.setdefault(
-            worker_id, {"status": "live", "completed": 0,
-                        "failed": 0, "claimed": 0,
-                        "first_cell_ts": None, "last_ts": None})
-
-    def _apply_worker(self, event: dict) -> None:
-        """Fold one distributed-queue ``worker`` event."""
-        kind = event.get("event")
-        slot = self._worker_slot(event)
-        if slot is not None:
-            slot["last_ts"] = event.get("ts")
-        if kind in ("worker_started", "worker_seen"):
-            if slot is not None:
-                slot["status"] = "live"
-        elif kind == "worker_lost":
-            if slot is not None:
-                slot["status"] = "lost"
-        elif kind == "worker_stopped":
-            if slot is not None:
-                slot["status"] = "stopped"
-        elif kind == "cell_claimed":
-            if slot is not None:
-                slot["status"] = "live"
-                slot["claimed"] += 1
-                if slot["first_cell_ts"] is None:
-                    slot["first_cell_ts"] = event.get("ts")
-        elif kind == "cell_completed":
-            if slot is not None:
-                slot["status"] = "live"
-                slot["completed"] += 1
-                # Late-attaching watcher may have missed the claim.
-                if slot["first_cell_ts"] is None:
-                    slot["first_cell_ts"] = event.get("ts")
-        elif kind == "cell_failed":
-            if slot is not None:
-                slot["status"] = "live"
-                slot["failed"] += 1
-        elif kind == "cell_stolen":
-            self.cells_stolen += 1
-            # The previous holder demonstrably stopped heartbeating
-            # -- even one a late-attaching watcher never saw alive.
-            previous = event.get("previous_holder")
-            if previous:
-                self._worker_slot({"worker": previous})["status"] = \
-                    "lost"
-        elif kind == "cell_quarantined":
-            self.cells_quarantined += 1
-        elif kind == "backend_fallback":
-            self.backend_fallback = event
 
     def _apply_flow(self, event: dict) -> None:
         """Fold one forensics ``flow`` event (keeps the worst few)."""
@@ -255,20 +169,6 @@ class WatchState:
         self.worst_flows.append(event)
         self.worst_flows.sort(key=lambda e: -e["fct_s"])
         del self.worst_flows[TAIL_LINES:]
-
-    def worker_rate_per_min(self,
-                            worker_id: str) -> Optional[float]:
-        """Completed cells per minute of this worker's active span
-        (first claim to last event), or None before it can be
-        judged."""
-        slot = self.workers.get(worker_id)
-        if slot is None or not slot["completed"]:
-            return None
-        start = slot["first_cell_ts"]
-        end = slot["last_ts"]
-        if start is None or end is None or end <= start:
-            return None
-        return slot["completed"] / ((end - start) / 60.0)
 
     def apply_all(self, events: List[dict]) -> None:
         for event in events:
@@ -342,33 +242,10 @@ def render_dashboard(state: WatchState, now: Optional[float] = None,
                          f"{event.get('message', '')}")
         lines.append("")
 
-    if state.workers or state.cells_stolen \
-            or state.backend_fallback is not None:
-        live = sum(1 for slot in state.workers.values()
-                   if slot["status"] == "live")
-        summary = f"workers: {live}/{len(state.workers)} live"
-        if state.cells_stolen:
-            summary += f", {state.cells_stolen} cell(s) re-leased"
-        if state.cells_quarantined:
-            summary += (f", {state.cells_quarantined} "
-                        f"quarantined in-queue")
-        lines.append(summary)
-        for worker_id in sorted(state.workers):
-            slot = state.workers[worker_id]
-            badge = {"live": "+", "lost": "x",
-                     "stopped": "-"}.get(slot["status"], "?")
-            row = (f"  [{badge}] {worker_id:<28} "
-                   f"{slot['status']:<8} "
-                   f"done={slot['completed']} "
-                   f"failed={slot['failed']}")
-            rate = state.worker_rate_per_min(worker_id)
-            if rate is not None:
-                row += f" {rate:.1f} cells/min"
-            lines.append(row)
-        if state.backend_fallback is not None:
-            reason = state.backend_fallback.get("cells")
-            lines.append(f"  [!] coordinator fell back to local "
-                         f"execution ({reason} cell(s))")
+    if any(state.sweep.values()):
+        lines.append("sweep: " + ", ".join(
+            f"{state.sweep[kind]} {label}"
+            for kind, label in SWEEP_COUNTS.items()))
         lines.append("")
 
     if state.metrics:
@@ -446,34 +323,24 @@ def resolve_target(target: Union[str, Path],
     return logs[-1]
 
 
-def watch(target: Union[str, Path, None] = None,
+def watch(target: Union[str, Path],
           experiment: Optional[str] = None,
           interval: float = DEFAULT_INTERVAL,
           once: bool = False,
           stream=None,
           clock: Callable[[], float] = time.time,
           sleep: Callable[[float], None] = time.sleep,
-          max_polls: Optional[int] = None,
-          serve_url: Optional[str] = None) -> int:
+          max_polls: Optional[int] = None) -> int:
     """Follow a run log until ``run_end`` (or forever, pre-run).
 
     ``once`` renders the current state a single time and returns --
-    usable in scripts and CI.  ``serve_url`` follows a remote
-    ``repro serve`` plane's ``/events.json`` instead of a local
-    file.  ``stream``/``clock``/``sleep``/``max_polls`` exist for
-    deterministic tests.
+    usable in scripts and CI.  ``stream``/``clock``/``sleep``/
+    ``max_polls`` exist for deterministic tests.
     """
     if stream is None:
         stream = sys.stdout
-    if serve_url is not None:
-        path: Union[str, Path] = serve_url
-        tailer: Union[RunLogTailer, ServeTailer] = ServeTailer(
-            serve_url, experiment=experiment)
-    elif target is not None:
-        path = resolve_target(target, experiment)
-        tailer = RunLogTailer(path)
-    else:
-        raise ValueError("watch needs a target path or --serve URL")
+    path = resolve_target(target, experiment)
+    tailer = RunLogTailer(path)
     state = WatchState()
     live_tty = (not once) and hasattr(stream, "isatty") \
         and stream.isatty()

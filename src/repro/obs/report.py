@@ -14,10 +14,6 @@
 Everything is derived from the JSONL alone -- the dashboard works on
 logs copied off another machine or from a crashed run (a truncated
 log still renders; it just fails validation).
-
-``python -m repro report --fleet <queue_dir>`` instead stitches the
-cross-host trace shards under ``<queue_dir>/traces/`` into one
-coordinator -> workers -> cells tree (:func:`render_fleet`).
 """
 
 from __future__ import annotations
@@ -28,8 +24,7 @@ from typing import Dict, List, Optional, Union
 from repro.analysis.reporting import format_table
 from repro.obs.metrics import top_metrics
 from repro.obs.runlog import read_events
-from repro.obs.spans import (build_fleet_tree, format_span_tree,
-                             read_trace_records)
+from repro.obs.spans import format_span_tree
 
 
 def _header(events: List[dict]) -> str:
@@ -157,28 +152,3 @@ def render_events(events: List[dict]) -> str:
 def render_report(path: Union[str, Path]) -> str:
     """Load one run log and render its dashboard."""
     return render_events(read_events(path))
-
-
-def render_fleet(root: Union[str, Path],
-                 trace_id: Optional[str] = None) -> str:
-    """Render one distributed sweep's stitched trace tree.
-
-    ``root`` is a queue directory (or any directory with a
-    ``traces/`` subdir of shard files); ``trace_id`` picks a specific
-    trace, defaulting to the most recent one.  The tree nests
-    coordinator -> ``worker:<id>`` -> ``cell[i]``, with worker levels
-    synthesized as envelopes when only cell records survived.
-    """
-    records = read_trace_records(root)
-    chosen, spans = build_fleet_tree(records, trace_id=trace_id)
-    if not spans:
-        available = sorted({r.get("trace_id") for r in records
-                            if r.get("trace_id")})
-        if available:
-            return ("no records for trace "
-                    f"{trace_id!r}; available traces:\n" + "\n".join(
-                        f"  {tid}" for tid in available))
-        return f"no fleet trace records under {root}"
-    return (f"fleet trace {chosen} "
-            f"({len(records)} record(s) across shards)\n"
-            + format_span_tree(spans))

@@ -45,19 +45,11 @@ Event types:
     A component retried an operation after a recoverable failure
     (``component``, e.g. ``fluid.dde`` on a halved-step integration
     retry, plus context like the failing ``t`` and the step sizes).
-``worker``
-    A distributed-queue lifecycle transition (``event`` one of
-    ``worker_started``, ``worker_stopped``, ``worker_seen``,
-    ``worker_lost``, ``cell_claimed``, ``cell_completed``,
-    ``cell_failed``, ``cell_requeued``, ``cell_released``,
-    ``cell_stolen``, ``cell_quarantined``, ``backend_fallback``; see
-    :mod:`repro.perf.backend` and :mod:`repro.perf.worker`), with
-    context such as the worker id, cell key and lease age.
-``trace``
-    A cross-host fleet-trace anchor: the queue coordinator records
-    the ``trace_id`` it stamped into the tasks of a dispatch (plus
-    the queue dir), linking this run log to the per-worker trace
-    shards ``python -m repro report --fleet`` stitches.
+``worker`` / ``trace``
+    Legacy, read-only: written by the distributed sweep queue that
+    has since been removed (``worker`` carries an ``event``,
+    ``trace`` a ``trace_id``).  Nothing emits them any more; they
+    stay in the schema so logs already written still validate.
 ``profile``
     A sampling-profiler summary (``samples`` plus the per-category
     share breakdown; see :mod:`repro.obs.profile`).
@@ -222,14 +214,6 @@ class RunLog:
     def retry(self, component: str, **fields: Any) -> dict:
         """Record a recoverable-failure retry inside a component."""
         return self.emit("retry", component=component, **fields)
-
-    def worker(self, event: str, **fields: Any) -> dict:
-        """Record a distributed-queue worker/lease transition."""
-        return self.emit("worker", event=event, **fields)
-
-    def trace(self, trace_id: str, **fields: Any) -> dict:
-        """Anchor this run to a cross-host fleet trace."""
-        return self.emit("trace", trace_id=trace_id, **fields)
 
     def profile(self, samples: int, **fields: Any) -> dict:
         """Record a sampling-profiler summary."""

@@ -13,26 +13,14 @@ Spans serialize to plain dicts (the run-log ``span`` event) carrying a
 slash-joined ``path``; :func:`format_span_tree` aggregates any list of
 such dicts -- live records or ones re-read from a run log -- into the
 indented tree report ``python -m repro report`` prints.
-
-**Fleet traces** extend the same span shape across processes and
-hosts: the queue coordinator stamps a ``trace_id`` into every task it
-enqueues, workers append cell-span records to per-worker shard files
-under ``<queue_dir>/traces/``, and :func:`build_fleet_tree` stitches
-the shards back into one tree (synthesizing ``worker:<id>`` envelope
-spans) that ``python -m repro report --fleet`` renders with
-:func:`format_span_tree`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import tracemalloc
-import uuid
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional
 
 
 class SpanRecord:
@@ -187,153 +175,3 @@ def format_span_tree(records: "List[dict]") -> str:
             f"{row['wall_s']:>8.3f}s {row['cpu_s']:>8.3f}s "
             f"{_format_bytes(row['alloc_bytes']):>9} {share:>5.1f}%")
     return "\n".join(lines)
-
-
-# -- cross-host fleet traces --------------------------------------------------
-
-#: Subdirectory of a queue dir holding per-process trace shards.
-TRACE_DIR_NAME = "traces"
-
-
-def new_trace_id(label: str) -> str:
-    """A collision-safe trace id a coordinator stamps into tasks."""
-    from repro.obs.metrics import sanitize
-    return f"{sanitize(label)}-{uuid.uuid4().hex[:12]}"
-
-
-def trace_dir(root: Union[str, Path]) -> Path:
-    return Path(root) / TRACE_DIR_NAME
-
-
-def trace_shard_path(root: Union[str, Path], shard: str) -> Path:
-    """The append-only shard one process writes trace records to."""
-    from repro.obs.metrics import sanitize
-    return trace_dir(root) / f"{sanitize(shard)}.jsonl"
-
-
-def append_trace_record(shard_path: Union[str, Path],
-                        record: dict) -> None:
-    """Append one trace record (JSON line) to a shard.
-
-    Appends of a line under the pipe-buffer size are atomic enough
-    for the single-writer-per-shard discipline the queue uses; a torn
-    final line from a crashed writer is skipped on read.
-    """
-    path = Path(shard_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as stream:
-        stream.write(json.dumps(record, sort_keys=True,
-                                default=str) + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
-
-
-def read_trace_records(root: Union[str, Path]) -> List[dict]:
-    """Every parseable record across all shards under ``root``.
-
-    Tolerates missing directories, torn tails and foreign garbage --
-    the shards live on the same shared filesystem as the queue, so
-    the reader applies the queue's skip-don't-crash discipline.
-    """
-    records: List[dict] = []
-    directory = trace_dir(root)
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return records
-    for name in names:
-        if not name.endswith(".jsonl"):
-            continue
-        try:
-            text = (directory / name).read_text(encoding="utf-8")
-        except OSError:
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail of a live/crashed writer
-            if isinstance(record, dict) and "path" in record:
-                records.append(record)
-    return records
-
-
-def build_fleet_tree(records: List[dict],
-                     trace_id: Optional[str] = None
-                     ) -> Tuple[Optional[str], List[dict]]:
-    """Stitch shard records for one trace into span-tree rows.
-
-    Picks the most recently started trace when ``trace_id`` is None.
-    Records carry absolute ``ts`` wall clocks (hosts share NTP-level
-    clock agreement at worst); offsets are rebased to the earliest
-    record so :func:`format_span_tree` can order children.  Missing
-    ancestors -- ``worker:<id>`` levels, or the coordinator root of a
-    crashed run -- are synthesized as envelope spans covering their
-    children, so a partial fleet still renders as one tree.
-    """
-    by_trace: Dict[str, List[dict]] = {}
-    for record in records:
-        tid = record.get("trace_id")
-        if tid:
-            by_trace.setdefault(tid, []).append(record)
-    if trace_id is None and by_trace:
-        trace_id = max(by_trace,
-                       key=lambda t: max(r.get("ts", 0.0)
-                                         for r in by_trace[t]))
-    chosen = by_trace.get(trace_id or "", [])
-    if not chosen:
-        return trace_id, []
-    origin = min(r.get("ts", 0.0) for r in chosen)
-    rows: Dict[str, dict] = {}
-    spans: List[dict] = []
-    for record in chosen:
-        path = record["path"]
-        start = float(record.get("ts", origin)) - origin
-        span_dict = {
-            "name": record.get("name", path.split("/")[-1]),
-            "path": path, "depth": path.count("/"),
-            "start_offset": start,
-            "wall_s": float(record.get("wall_s", 0.0)),
-            "cpu_s": float(record.get("cpu_s", 0.0)),
-            "alloc_bytes": record.get("alloc_bytes")}
-        spans.append(span_dict)
-        rows.setdefault(path, span_dict)
-    # Synthesize envelope spans for absent ancestors (format_span_tree
-    # sorts children by their ancestors' start offsets, so every
-    # prefix of every path must resolve to a row).
-    for span_dict in list(spans):
-        parts = span_dict["path"].split("/")
-        for depth in range(len(parts) - 1):
-            prefix = "/".join(parts[:depth + 1])
-            if prefix in rows:
-                continue
-            rows[prefix] = {"name": parts[depth], "path": prefix,
-                            "depth": depth, "start_offset":
-                            span_dict["start_offset"],
-                            "wall_s": 0.0, "cpu_s": 0.0,
-                            "alloc_bytes": None, "_synth": True}
-            spans.append(rows[prefix])
-    # Deepest-first so a synthesized root envelopes synthesized
-    # worker envelopes that already cover their cells.
-    for span_dict in sorted(spans, key=lambda s: -s["depth"]):
-        if not span_dict.get("_synth"):
-            continue
-        prefix = span_dict["path"] + "/"
-        children = [s for s in spans
-                    if s["path"].startswith(prefix)
-                    and s["path"].count("/")
-                    == span_dict["depth"] + 1]
-        if children:
-            start = min(c["start_offset"] for c in children)
-            end = max(c["start_offset"] + c["wall_s"]
-                      for c in children)
-            span_dict["start_offset"] = start
-            span_dict["wall_s"] = end - start
-            span_dict["cpu_s"] = sum(c["cpu_s"] for c in children)
-    for span_dict in spans:
-        span_dict.pop("_synth", None)
-    spans.sort(key=lambda s: (s["depth"], s["start_offset"]))
-    return trace_id, spans

@@ -1,11 +1,12 @@
 """Performance layer: parallel sweeps, result caching, benchmarks.
 
-The paper's artefacts are dense parameter grids; this package makes
-them fast three ways:
+The paper's artefacts are dense parameter grids, small enough for one
+machine; this package runs them there:
 
-* :class:`~repro.perf.sweep.SweepRunner` fans independent grid cells
-  out over a process pool (``workers=``), with deterministic per-cell
-  seeding via :func:`~repro.perf.sweep.derive_seed`;
+* :class:`~repro.perf.sweep.SweepRunner` is the one place sweep cells
+  run: serially in-process, or fanned out over a supervised local
+  process pool (``workers=``), with deterministic per-cell seeding
+  via :func:`~repro.perf.sweep.derive_seed`;
 * :class:`~repro.perf.cache.ResultCache` memoizes cell results on disk,
   keyed by experiment id, canonical parameters, and a fingerprint of
   the package sources;
@@ -18,20 +19,9 @@ them fast three ways:
   (:class:`~repro.perf.resilience.CellFailure`), the
   :class:`~repro.perf.resilience.SweepJournal` gives crash-surviving
   ``--resume``, and :class:`~repro.perf.resilience.CrashCapsule` +
-  ``repro replay`` reproduce terminal cell failures deterministically;
-* :mod:`repro.perf.backend` abstracts *where* sweep cells execute --
-  in-process, the supervised local pool, or a lease-based shared-
-  filesystem job queue drained by ``python -m repro worker``
-  processes on any number of hosts (:mod:`repro.perf.worker`), with
-  graceful degradation back to local execution when no worker is
-  alive.
+  ``repro replay`` reproduce terminal cell failures deterministically.
 """
 
-from repro.perf.backend import (BACKEND_CHOICES, InProcessBackend,
-                                PoolBackend, QueueBackend,
-                                SweepBackend, default_backend,
-                                resolve_backend, set_default_backend,
-                                use_backend)
 from repro.perf.cache import (CacheStats, ResultCache, canonicalize,
                               code_fingerprint, default_cache_dir,
                               params_key)
@@ -44,27 +34,19 @@ from repro.perf.resilience import (CellFailure, CrashCapsule,
                                    replay_capsule)
 from repro.perf.sweep import (SweepRunner, derive_seed,
                               effective_cpu_count, resolve_workers)
-from repro.perf.worker import QueueWorker, spawn_worker
 
 __all__ = [
-    "BACKEND_CHOICES",
     "CacheStats",
     "CellFailure",
     "CrashCapsule",
-    "InProcessBackend",
-    "PoolBackend",
-    "QueueBackend",
-    "QueueWorker",
     "ReplayResult",
     "ResiliencePolicy",
     "ResultCache",
-    "SweepBackend",
     "SweepJournal",
     "SweepRunner",
     "canonicalize",
     "code_fingerprint",
     "collect_failures",
-    "default_backend",
     "default_cache_dir",
     "default_capsule_dir",
     "default_journal_dir",
@@ -75,9 +57,5 @@ __all__ = [
     "params_key",
     "process_shard",
     "replay_capsule",
-    "resolve_backend",
     "resolve_workers",
-    "set_default_backend",
-    "spawn_worker",
-    "use_backend",
 ]

@@ -10,10 +10,7 @@ stepping, and one stability-map row -- and a sweep section times the
 FCT study) serially, with workers, and against a warm result cache.
 A resilience section measures what the journal + retry machinery
 costs an all-success sweep (it should be nearly free) and proves a
-journaled resume is bit-identical to the plain run.  A backends
-section compares the same grid through the in-process, pool and
-distributed-queue execution backends (two local ``repro worker``
-subprocesses) and records the queue protocol's per-cell overhead.
+journaled resume is bit-identical to the plain run.
 
 Unlike ``benchmarks/test_performance.py`` (pytest-benchmark, relative
 regression tracking) this module produces absolute numbers meant to be
@@ -48,7 +45,9 @@ from repro.perf.cache import ResultCache
 #:   on the ``ledger is None`` guards) (PR 9).
 #: 9 removed the engines section along with the calendar scheduler,
 #:   the batched port path and the hybrid mode it measured.
-REPORT_VERSION = 9
+#: 10 removed the backends section along with the distributed queue
+#:   it measured.
+REPORT_VERSION = 10
 
 #: Default output file, repo-root relative.
 DEFAULT_REPORT = "BENCH_PR7.json"
@@ -383,57 +382,6 @@ def bench_resilience(workers: int = 4) -> dict:
     }
 
 
-def bench_backends(workers: int = 2) -> dict:
-    """Backend comparison on the ``ext_stability_map`` grid.
-
-    Times the same sweep through :class:`~repro.perf.backend
-    .InProcessBackend`, :class:`~repro.perf.backend.PoolBackend`
-    (``workers`` local processes) and :class:`~repro.perf.backend
-    .QueueBackend` with ``workers`` local ``repro worker``
-    subprocesses draining a tmpdir queue.  ``*_overhead_per_cell_s``
-    is the extra wall time each backend pays per cell over the
-    in-process baseline -- the queue's file-per-transition protocol
-    is the one with real overhead, and this records how much.
-    ``identical`` doubles as the cross-backend determinism check.
-    """
-    import tempfile
-
-    from repro.experiments import ext_stability_map
-    from repro.perf.backend import (InProcessBackend, PoolBackend,
-                                    QueueBackend)
-    from repro.perf.worker import spawn_worker
-
-    cells = len(ext_stability_map.DEFAULT_FLOWS)
-    inprocess_s, inprocess_rows = _timed(
-        lambda: ext_stability_map.run(backend=InProcessBackend()))
-    pool_s, pool_rows = _timed(
-        lambda: ext_stability_map.run(workers=workers,
-                                      backend=PoolBackend()))
-    with tempfile.TemporaryDirectory() as tmp:
-        procs = [spawn_worker(tmp, lease_ttl=5.0, max_idle=20.0)
-                 for _ in range(workers)]
-        backend = QueueBackend(tmp, lease_ttl=5.0, worker_grace=60.0)
-        queue_s, queue_rows = _timed(
-            lambda: ext_stability_map.run(backend=backend))
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait(timeout=30)
-    return {
-        "workers": workers,
-        "cells": cells,
-        "inprocess_s": inprocess_s,
-        "pool_s": pool_s,
-        "queue_s": queue_s,
-        "inprocess_cells_per_sec": cells / inprocess_s,
-        "pool_cells_per_sec": cells / pool_s,
-        "queue_cells_per_sec": cells / queue_s,
-        "pool_overhead_per_cell_s": (pool_s - inprocess_s) / cells,
-        "queue_overhead_per_cell_s": (queue_s - inprocess_s) / cells,
-        "identical": inprocess_rows == pool_rows == queue_rows,
-    }
-
-
 def run_benchmarks(workers: int = 4, full: bool = False,
                    baseline: Optional[dict] = None) -> dict:
     """Run everything and return the report dictionary."""
@@ -460,7 +408,6 @@ def run_benchmarks(workers: int = 4, full: bool = False,
         "forensics": bench_forensics_overhead(),
         "sweeps": bench_sweeps(workers=workers, full=full),
         "resilience": bench_resilience(workers=workers),
-        "backends": bench_backends(workers=min(workers, 2)),
     }
     if baseline:
         report["pre_pr_baseline"] = baseline

@@ -81,9 +81,10 @@ class ResiliencePolicy:
     cell_timeout:
         Per-attempt wall-clock budget in seconds.  Enforced in
         parallel mode by killing the worker pool and re-dispatching
-        the other in-flight cells; serial execution cannot preempt a
-        running cell, so there the timeout only applies in the sense
-        that a cell observed to exceed it is not retried.
+        the other in-flight cells.  Serial execution cannot preempt a
+        running cell, so there it is not enforced at all: the cell
+        runs to completion and the sweep emits one
+        ``RuntimeWarning`` saying so.
     max_retries:
         Re-attempts after the first failure before quarantine.
     backoff_base / backoff_factor / backoff_max:
@@ -233,14 +234,14 @@ class SweepJournal:
     any source file orphans the journal, exactly like the result
     cache).
 
-    Concurrent-writer safety (distributed sweeps): two processes
-    appending to one JSONL file can interleave torn records, so each
-    writer may claim a private *shard* -- ``shard="host-123"`` writes
-    to ``<stem>-host-123<suffix>`` -- while **reads always merge** the
-    base file plus every sibling shard.  One process per shard means
-    every individual file keeps the single-writer append-only
-    invariant, and any reader (a resuming coordinator, a worker
-    warming up) sees the union.  So shards do not accumulate one
+    Concurrent-writer safety (two resuming runs sharing one cache
+    dir): two processes appending to one JSONL file can interleave
+    torn records, so each writer may claim a private *shard* --
+    ``shard="host-123"`` writes to ``<stem>-host-123<suffix>`` --
+    while **reads always merge** the base file plus every sibling
+    shard.  One process per shard means every individual file keeps
+    the single-writer append-only invariant, and any reader sees the
+    union.  So shards do not accumulate one
     file per process forever, :meth:`compact` folds them back into
     the base file once a sweep completes.
     """

@@ -159,29 +159,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def _run_cell(payload: "Tuple[Callable[..., Any], Dict[str, Any]]"
-              ) -> Any:
-    """Top-level trampoline so (fn, kwargs) pairs cross the pickle."""
-    fn, kwargs = payload
-    os.environ[WORKER_ENV] = "1"
-    return fn(**kwargs)
-
-
-def _run_cell_timed(payload: "Tuple[Callable[..., Any], Dict[str, Any]]"
-                    ) -> "Tuple[float, Any]":
-    """Like :func:`_run_cell`, returning ``(wall_seconds, value)``.
-
-    The elapsed time crosses the pickle boundary alongside the value
-    so the parent can feed the ``perf.sweep.cell_seconds`` histogram
-    and compute worker utilization without touching the result.
-    """
-    fn, kwargs = payload
-    os.environ[WORKER_ENV] = "1"
-    started = time.perf_counter()
-    value = fn(**kwargs)
-    return time.perf_counter() - started, value
-
-
 def _run_chunk(payload:
                "Tuple[Callable[..., Any], List[Dict[str, Any]]]"
                ) -> "List[Tuple[str, Any, Any]]":
@@ -289,20 +266,12 @@ class SweepRunner:
         placeholders instead of aborting the sweep, hung cells are
         timed out, and completed cells are journaled for
         crash-surviving resume.
-    backend:
-        Optional :class:`~repro.perf.backend.SweepBackend` overriding
-        how pending cells execute (in-process, supervised pool, or
-        the distributed queue).  ``None`` consults the ambient
-        default set by :func:`~repro.perf.backend.use_backend`; when
-        that is also unset, the runner keeps its historical
-        serial-or-pool choice based on ``workers``.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  experiment_id: Optional[str] = None,
-                 resilience: Optional[ResiliencePolicy] = None,
-                 backend: Optional["Any"] = None):
+                 resilience: Optional[ResiliencePolicy] = None):
         if cache is not None and not experiment_id:
             raise ValueError(
                 "experiment_id is required when a cache is attached")
@@ -316,15 +285,7 @@ class SweepRunner:
         self.cache = cache
         self.experiment_id = experiment_id
         self.resilience = resilience
-        self.backend = backend
         self._journal: Optional[SweepJournal] = None
-
-    def _effective_backend(self) -> Optional["Any"]:
-        """Explicit backend, else the ambient default (may be None)."""
-        if self.backend is not None:
-            return self.backend
-        from repro.perf import backend as _backend
-        return _backend.default_backend()
 
     # -- cache / journal plumbing ------------------------------------------
 
@@ -337,9 +298,9 @@ class SweepRunner:
         """The completed-cell journal, opened lazily from the policy.
 
         Appends go to this process's private shard (reads merge all
-        shards), so concurrent journal writers -- two resuming runs,
-        distributed queue workers sharing a cache dir -- can never
-        interleave torn records in one file.
+        shards), so concurrent journal writers -- two resuming runs
+        sharing a cache dir -- can never interleave torn records in
+        one file.
         """
         if self._journal is None and self.resilience is not None \
                 and self.resilience.journal_dir is not None:
@@ -375,13 +336,11 @@ class SweepRunner:
         label = self.experiment_id or getattr(fn, "__name__", "sweep")
         journal = self.journal
         registry = _metrics.get_registry()
-        backend = self._effective_backend()
         sweep_started = time.perf_counter()
         with _spans.span(f"sweep:{label}"):
             results: List[Any] = [None] * len(cells)
             need_keys = self.cache is not None or journal is not None \
-                or self.resilience is not None \
-                or bool(getattr(backend, "requires_keys", False))
+                or self.resilience is not None
             pending: List[_Pending] = []
             cached = resumed = 0
             for index, cell in enumerate(cells):
@@ -438,10 +397,7 @@ class SweepRunner:
                             self._cell_params(fn, entry.cell), value)
 
                 try:
-                    if backend is not None:
-                        backend.execute(self, fn, pending, finish)
-                    else:
-                        self._execute(fn, pending, finish)
+                    self._execute(fn, pending, finish)
                 except KeyboardInterrupt:
                     registry.counter(
                         "perf.sweep.interrupts_total").inc()
@@ -460,8 +416,8 @@ class SweepRunner:
                     journal.compact()
                 except Exception:
                     journal.flush()  # unreadable sibling shard etc.
-            # End-of-sweep aggregation point: the live throughput
-            # gauge ``repro serve`` merges into the fleet /metrics.
+            # End-of-sweep aggregation point: the sweep's throughput
+            # lands in the run log's metrics snapshot.
             sweep_wall = time.perf_counter() - sweep_started
             if sweep_wall > 0:
                 registry.gauge("perf.sweep.cells_per_sec").set(
@@ -560,10 +516,17 @@ class SweepRunner:
         pool in chunks so the per-future pickle/dispatch overhead is
         amortized across several cells.
         """
+        policy = self.resilience
         if self.workers <= 1 or len(pending) <= 1:
+            if policy is not None and policy.cell_timeout is not None \
+                    and not os.environ.get(WORKER_ENV):
+                warnings.warn(
+                    f"cell_timeout={policy.cell_timeout:g}s is not "
+                    f"enforced on a serial sweep; run with 2 or more "
+                    f"workers to bound cell wall time",
+                    RuntimeWarning, stacklevel=3)
             self._execute_serial(fn, pending, finish)
             return
-        policy = self.resilience
         if policy is not None and policy.cell_timeout is not None:
             # Wall-clock timeouts can only be enforced by killing a
             # worker process; hang protection outranks spawn cost.
@@ -599,7 +562,8 @@ class SweepRunner:
 
         A running cell cannot be preempted from within its own
         process, so ``cell_timeout`` is not enforced here -- serial
-        mode trades hang protection for zero dispatch overhead.
+        mode trades hang protection for zero dispatch overhead
+        (:meth:`_execute` warns when a policy asks for one).
         """
         policy = self.resilience
         label = self.experiment_id or getattr(fn, "__name__", "sweep")

@@ -306,9 +306,9 @@ class Simulator:
         Bumps the abort counter and -- when a telemetry bundle is
         active -- emits a structured ``abort`` run-log event (cause,
         sim time, events processed) *before* the raise, so ``watch``
-        and ``serve`` surfaces show why a run died instead of going
-        silent.  Rare path: the import and the ambient lookup cost
-        nothing in the hot loops.
+        and ``report`` show why a run died instead of going silent.
+        Rare path: the import and the ambient lookup cost nothing in
+        the hot loops.
         """
         self._abort_metrics(reason)
         from repro.obs import telemetry as _telemetry

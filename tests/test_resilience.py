@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,12 @@ def hang_cell(x):
     if x == 1:
         time.sleep(300)
     return x * 7
+
+
+def slow_cell(x):
+    """Outlasts a 0.05 s budget that a serial sweep cannot enforce."""
+    time.sleep(0.2)
+    return x
 
 
 def crash_cell(x):
@@ -208,6 +215,28 @@ class TestTimeouts:
         assert is_failure(failure)
         assert failure.kind == "timeout"
         assert failure.attempts == 1
+
+    def test_serial_sweep_warns_timeout_is_not_enforced(self):
+        # A serial sweep cannot preempt its own cell: it says so once
+        # per sweep instead of silently letting the budget pass.
+        policy = ResiliencePolicy(cell_timeout=0.05,
+                                  write_capsules=False)
+        runner = SweepRunner(workers=1, resilience=policy)
+        with pytest.warns(RuntimeWarning,
+                          match="not enforced") as caught:
+            result = runner.map(slow_cell, [{"x": 1}, {"x": 2}])
+        assert result == [1, 2]
+        assert len([w for w in caught
+                    if "not enforced" in str(w.message)]) == 1
+
+    def test_nested_serial_sweep_does_not_warn(self, monkeypatch):
+        monkeypatch.setenv(WORKER_ENV, "1")
+        policy = ResiliencePolicy(cell_timeout=0.05,
+                                  write_capsules=False)
+        runner = SweepRunner(workers=4, resilience=policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert runner.map(square, [{"x": 3}, {"x": 4}]) == [9, 16]
 
 
 class TestPoolSupervision:
@@ -377,6 +406,127 @@ class TestResume:
             runner.map(interrupting_cell, [{"x": i} for i in range(5)])
         journal = journal_for("interrupt", policy.journal_dir)
         assert len(journal.completed) == 2  # cells 0 and 1 survived
+
+
+# -- journal shards (one writer per process) ---------------------------------
+
+
+class TestJournalShards:
+    def test_shard_write_path(self, tmp_path):
+        base = tmp_path / "exp.journal.jsonl"
+        journal = SweepJournal(base, fingerprint="fp", shard="h-1")
+        journal.record_cell("exp", "k1", 41, 1, 0.0)
+        journal.close()
+        assert not base.exists()
+        assert (tmp_path / "exp.journal-h-1.jsonl").exists()
+
+    def test_reads_merge_all_shards(self, tmp_path):
+        base = tmp_path / "exp.journal.jsonl"
+        for shard, key, value in (("a", "k1", 1), ("b", "k2", 2)):
+            journal = SweepJournal(base, fingerprint="fp",
+                                   shard=shard)
+            journal.record_cell("exp", key, value, 1, 0.0)
+            journal.close()
+        # An unsharded reader -- and any third shard -- sees the union.
+        merged = SweepJournal(base, fingerprint="fp")
+        assert merged.lookup("k1") == (True, 1)
+        assert merged.lookup("k2") == (True, 2)
+        third = SweepJournal(base, fingerprint="fp", shard="c")
+        assert third.lookup("k1") == (True, 1)
+
+    def test_journal_for_shard(self, tmp_path):
+        journal = journal_for("exp", tmp_path, fingerprint="fp",
+                              shard="w1")
+        journal.record_cell("exp", "k", "v", 1, 0.0)
+        journal.close()
+        assert (tmp_path / "exp.journal-w1.jsonl").exists()
+
+    def test_torn_shard_tail_tolerated(self, tmp_path):
+        base = tmp_path / "exp.journal.jsonl"
+        journal = SweepJournal(base, fingerprint="fp", shard="a")
+        journal.record_cell("exp", "k1", 7, 1, 0.0)
+        journal.close()
+        shard_path = tmp_path / "exp.journal-a.jsonl"
+        with open(shard_path, "a", encoding="utf-8") as stream:
+            stream.write('{"version": 1, "type": "cell_do')
+        merged = SweepJournal(base, fingerprint="fp")
+        assert merged.lookup("k1") == (True, 7)
+        assert merged.torn_lines == 1
+
+    def test_resumed_sweep_merges_other_shards(self, tmp_path):
+        """A resumed run (fresh pid => fresh shard) must see cells
+        journaled by any earlier process."""
+        policy = ResiliencePolicy(journal_dir=tmp_path,
+                                  write_capsules=False)
+        runner = SweepRunner(experiment_id="shardres",
+                             resilience=policy)
+        first = runner.map(square, [{"x": x} for x in (1, 2, 3)])
+        runner.journal.close()
+        # Simulate another process: move the (compacted) journal
+        # into a foreign shard, as a peer's appends would appear.
+        base = tmp_path / "shardres.journal.jsonl"
+        base.rename(tmp_path / "shardres.journal-otherhost-1.jsonl")
+        resumed_runner = SweepRunner(experiment_id="shardres",
+                                     resilience=policy)
+        resumed = resumed_runner.map(
+            square, [{"x": x} for x in (1, 2, 3)])
+        assert resumed == first
+        assert resumed_runner.journal.completed  # served from merge
+
+    def test_sweep_completion_compacts_shards(self, tmp_path):
+        """A finished sweep folds its per-process shard into the
+        base journal; long-lived experiments don't accumulate one
+        shard file per run ever executed."""
+        policy = ResiliencePolicy(journal_dir=tmp_path,
+                                  write_capsules=False)
+        runner = SweepRunner(experiment_id="cmpact",
+                             resilience=policy)
+        runner.map(square, [{"x": x} for x in (1, 2)])
+        assert (tmp_path / "cmpact.journal.jsonl").exists()
+        assert list(tmp_path.glob("cmpact.journal-*.jsonl")) == []
+        # The compacted journal still resumes every cell.
+        resumed = SweepRunner(experiment_id="cmpact",
+                              resilience=policy)
+        assert resumed.map(square, [{"x": x} for x in (1, 2)]) \
+            == [1, 4]
+
+    def test_compact_merges_and_unlinks_shards(self, tmp_path):
+        base = tmp_path / "exp.journal.jsonl"
+        for shard, key, value in (("a", "k1", 1), ("b", "k2", 2)):
+            journal = SweepJournal(base, fingerprint="fp",
+                                   shard=shard)
+            journal.record_cell("exp", key, value, 1, 0.0)
+            journal.close()
+        journal = SweepJournal(base, fingerprint="fp", shard="c")
+        journal.record_cell("exp", "k3", 3, 1, 0.0)
+        assert journal.compact() == 3
+        assert base.exists()
+        assert list(tmp_path.glob("exp.journal-*.jsonl")) == []
+        merged = SweepJournal(base, fingerprint="fp")
+        for key, value in (("k1", 1), ("k2", 2), ("k3", 3)):
+            assert merged.lookup(key) == (True, value)
+
+    def test_compact_drops_foreign_fingerprints(self, tmp_path):
+        # Orphaned entries (stale code) are garbage-collected by
+        # compaction, exactly like cache invalidation.
+        base = tmp_path / "exp.journal.jsonl"
+        old = SweepJournal(base, fingerprint="old", shard="a")
+        old.record_cell("exp", "k-old", 1, 1, 0.0)
+        old.close()
+        new = SweepJournal(base, fingerprint="new", shard="b")
+        new.record_cell("exp", "k-new", 2, 1, 0.0)
+        new.compact()
+        reloaded = SweepJournal(base, fingerprint="new")
+        assert reloaded.lookup("k-new") == (True, 2)
+        assert reloaded.stale_entries == 0
+
+    def test_compact_without_shards_is_noop(self, tmp_path):
+        base = tmp_path / "exp.journal.jsonl"
+        journal = SweepJournal(base, fingerprint="fp")
+        journal.record_cell("exp", "k", 1, 1, 0.0)
+        assert journal.compact() == 0
+        assert SweepJournal(base,
+                            fingerprint="fp").lookup("k") == (True, 1)
 
 
 # -- crash capsules and replay ------------------------------------------------

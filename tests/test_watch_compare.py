@@ -27,6 +27,12 @@ def write_run(directory, experiment="demo", run_id=None,
     return telemetry
 
 
+def poison_cell(x):
+    if x == 3:
+        raise ValueError(f"poison {x}")
+    return x
+
+
 CRITICAL = H.HealthFinding("queue_oscillation", "limit_cycle",
                            "critical", "synthetic cycle")
 
@@ -91,6 +97,35 @@ class TestWatchState:
     def test_dashboard_before_any_event(self):
         board = render_dashboard(WatchState())
         assert "waiting for run_start" in board
+
+    def test_dashboard_counts_sweep_failures(self):
+        state = WatchState()
+        for kind in ("cell_retry", "cell_timeout", "cell_timeout",
+                     "cell_quarantined", "pool_respawn", "resume"):
+            state.apply({"type": "sweep", "event": kind,
+                         "experiment": "demo", "index": 1})
+        board = render_dashboard(state)
+        assert "sweep: 1 cell(s) quarantined, 1 retries, " \
+            "2 timeout(s), 1 pool respawn(s)" in board
+
+    def test_quiet_sweep_draws_no_sweep_line(self):
+        state = WatchState()
+        state.apply({"type": "sweep", "event": "resume",
+                     "resumed_cells": 3})
+        assert "sweep:" not in render_dashboard(state)
+
+    def test_watch_shows_local_quarantine(self, tmp_path):
+        from repro.perf import ResiliencePolicy, SweepRunner
+        telemetry = Telemetry(tmp_path, experiment="demo")
+        policy = ResiliencePolicy(max_retries=1, write_capsules=False,
+                                  sleep=lambda seconds: None)
+        with telemetry.activate():
+            SweepRunner(experiment_id="demo", resilience=policy).map(
+                poison_cell, [{"x": x} for x in (1, 3)])
+        out = io.StringIO()
+        watch(telemetry.runlog_path, once=True, stream=out)
+        assert "sweep: 1 cell(s) quarantined, 1 retries" \
+            in out.getvalue()
 
 
 class TestResolveTarget:
@@ -239,85 +274,6 @@ class TestCompare:
         assert "NEW HEALTH FINDINGS" in text
         assert "clean -> pathological" in text
         assert "RESULT: regressions detected" in text
-
-
-class TestWorkerRates:
-    def worker_event(self, kind, worker="w1", ts=0.0):
-        return {"type": "worker", "event": kind, "worker": worker,
-                "ts": ts}
-
-    def test_cells_per_min_from_claim_to_last_event(self):
-        state = WatchState()
-        state.apply(self.worker_event("cell_claimed", ts=100.0))
-        state.apply(self.worker_event("cell_completed", ts=130.0))
-        state.apply(self.worker_event("cell_claimed", ts=130.0))
-        state.apply(self.worker_event("cell_completed", ts=160.0))
-        # 2 cells over the 60 s span from first claim to last event.
-        assert state.worker_rate_per_min("w1") \
-            == pytest.approx(2.0)
-
-    def test_rate_none_before_judgeable(self):
-        state = WatchState()
-        assert state.worker_rate_per_min("absent") is None
-        state.apply(self.worker_event("worker_started", ts=1.0))
-        assert state.worker_rate_per_min("w1") is None  # 0 done
-        state.apply(self.worker_event("cell_completed", ts=1.0))
-        # first cell at the last event: zero-width span, no rate.
-        assert state.worker_rate_per_min("w1") is None
-
-    def test_missed_claim_still_rates(self):
-        # A late-attaching watcher that never saw the claim uses the
-        # first completion as the span start.
-        state = WatchState()
-        state.apply(self.worker_event("cell_completed", ts=10.0))
-        state.apply(self.worker_event("cell_completed", ts=40.0))
-        assert state.worker_rate_per_min("w1") \
-            == pytest.approx(4.0)
-
-    def test_dashboard_renders_cells_per_min(self):
-        state = WatchState()
-        state.apply({"type": "run_start", "run_id": "r",
-                     "experiment": "demo", "ts": 0.0})
-        state.apply(self.worker_event("cell_claimed", ts=100.0))
-        state.apply(self.worker_event("cell_completed", ts=130.0))
-        state.apply(self.worker_event("cell_completed", ts=160.0))
-        board = render_dashboard(state)
-        assert "2.0 cells/min" in board
-
-
-class TestServeTailer:
-    def test_polls_and_resumes_offset(self, tmp_path):
-        from repro.obs.live import ServeTailer
-        from repro.obs.serve import ObservabilityServer
-        write_run(tmp_path, run_id="demo-1")
-        with ObservabilityServer(telemetry_dir=tmp_path) as server:
-            tailer = ServeTailer(server.url)
-            events = tailer.poll()
-            assert events and events[0]["type"] == "run_start"
-            assert tailer.poll() == []  # offset advanced
-            write_run(tmp_path, run_id="demo-2")
-            fresh = tailer.poll()
-            assert fresh and all(e["_shard"] == "demo-2"
-                                 for e in fresh)
-
-    def test_network_error_returns_empty(self):
-        from repro.obs.live import ServeTailer
-        tailer = ServeTailer("http://127.0.0.1:1", timeout=0.2)
-        assert tailer.poll() == []
-        assert tailer._offset == 0  # did not advance
-
-    def test_watch_over_serve_url(self, tmp_path):
-        from repro.obs.serve import ObservabilityServer
-        write_run(tmp_path, findings=[CRITICAL])
-        out = io.StringIO()
-        with ObservabilityServer(telemetry_dir=tmp_path) as server:
-            assert watch(serve_url=server.url, once=True,
-                         stream=out) == 0
-        assert "repro watch :: demo" in out.getvalue()
-
-    def test_watch_without_target_or_url_raises(self):
-        with pytest.raises(ValueError, match="target"):
-            watch()
 
 
 class TestCompareDroppedSection:
