@@ -1,24 +1,23 @@
 """Benchmark harness configuration.
 
 Every benchmark regenerates one paper figure: it runs the experiment
-driver once (``pedantic`` with a single round -- these are simulations,
-not microbenchmarks), prints the table of numbers the figure plots,
-and asserts the qualitative shape the paper reports.
+driver once, prints the table of numbers the figure plots, and
+asserts the qualitative shape the paper reports.  Speed is measured
+by ``e2ebench/``, not here.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
 """
 
 import pytest
 
 
 @pytest.fixture
-def run_once(benchmark):
-    """Execute an experiment exactly once under the benchmark timer."""
+def run_once():
+    """Execute an experiment driver exactly once."""
 
     def runner(fn, **kwargs):
-        return benchmark.pedantic(fn, kwargs=kwargs, iterations=1,
-                                  rounds=1)
+        return fn(**kwargs)
 
     return runner

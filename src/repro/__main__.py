@@ -17,7 +17,6 @@ Usage::
     python -m repro watch obs/                   # live dashboard of a run
     python -m repro compare obs_a/ obs_b/        # cross-run regression diff
     python -m repro replay CAPSULE.json          # re-run a failed cell
-    python -m repro bench                # write BENCH_PR7.json
     python -m repro fuzz --budget 50 --seed 0 --shrink  # conformance
     python -m repro run fig05 --profile          # sampling profiler
 
@@ -31,10 +30,10 @@ accelerate.
 health findings into DIR (see :mod:`repro.obs`); ``report`` turns the
 resulting JSONL logs back into human-readable dashboards, ``watch``
 tails one live from another terminal, and ``compare`` diffs two
-telemetry directories (or two bench reports) with noise-aware
-regression thresholds.  ``--forensics`` additionally attributes every
-flow's completion time to named components (serialization, queueing,
-PFC pause, rate limiting; see :mod:`repro.obs.forensics`) and logs
+telemetry directories with noise-aware regression thresholds.
+``--forensics`` additionally attributes every flow's completion time
+to named components (serialization, queueing, PFC pause, rate
+limiting; see :mod:`repro.obs.forensics`) and logs
 one ``flow`` event per flow; ``explain`` renders those attributions
 with their causal chains (which switch marked the flow, which pause
 storm throttled it).
@@ -156,12 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--once", action="store_true",
                        help="render the current state once and exit")
     compare = sub.add_parser(
-        "compare", help="diff two runs: bench reports or telemetry "
-                        "dirs, with noise-aware thresholds")
-    compare.add_argument("before", help="baseline BENCH_*.json or "
-                                        "telemetry directory")
-    compare.add_argument("after", help="candidate BENCH_*.json or "
-                                       "telemetry directory")
+        "compare", help="diff two telemetry dirs with noise-aware "
+                        "thresholds")
+    compare.add_argument("before", help="baseline telemetry directory")
+    compare.add_argument("after", help="candidate telemetry directory")
     compare.add_argument("--rtol", type=float, default=None,
                          metavar="R",
                          help="force one relative tolerance for every "
@@ -180,15 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--telemetry", metavar="DIR", default=None,
                         help="run the replay under full telemetry/"
                              "health, recording into DIR")
-
-    bench = sub.add_parser(
-        "bench", help="measure hot-loop throughput, write a JSON report")
-    bench.add_argument("--output", default="BENCH_PR7.json",
-                       metavar="FILE", help="report path")
-    bench.add_argument("--workers", type=int, default=4, metavar="N",
-                       help="worker count for the sweep section")
-    bench.add_argument("--full", action="store_true",
-                       help="also time the (slow) FCT study sweep")
 
     fuzz = sub.add_parser(
         "fuzz", help="differential chaos-conformance fuzzing: "
@@ -591,7 +579,7 @@ def main(argv: "List[str] | None" = None) -> int:
         from repro.obs.diff import compare, render_report
         try:
             report = compare(args.before, args.after, rtol=args.rtol)
-        except FileNotFoundError as error:
+        except (FileNotFoundError, NotADirectoryError) as error:
             print(error, file=sys.stderr)
             return 2
         print(render_report(report))
@@ -599,10 +587,6 @@ def main(argv: "List[str] | None" = None) -> int:
     if args.command == "replay":
         return replay_crash_capsule(args.capsule,
                                     telemetry_dir=args.telemetry)
-    if args.command == "bench":
-        from repro.perf.bench import main as bench_main
-        return bench_main(path=args.output, workers=args.workers,
-                          full=args.full)
     if args.command == "fuzz":
         return run_fuzz_command(args.budget, args.seconds, args.seed,
                                 args.start_index, args.matrix,

@@ -45,8 +45,8 @@ the DDE fluid integrator, and the parallel sweep runner):
 
 :mod:`repro.obs.diff`
     ``python -m repro compare``: cross-run regression diffing over
-    telemetry directories or bench reports, with noise-aware
-    thresholds and new/resolved health findings -- the CI gate.
+    telemetry directories, with noise-aware thresholds and
+    new/resolved health findings.
 
 :mod:`repro.obs.profile`
     Sampling profiler for the engine hot loops: a sidecar thread

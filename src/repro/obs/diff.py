@@ -1,8 +1,7 @@
 """Cross-run regression diffing: ``python -m repro compare A B``.
 
-Compares two *sources* -- each either a ``BENCH_*.json`` performance
-report or a telemetry directory of run logs -- and reports, with
-noise-aware thresholds:
+Compares two telemetry directories of run logs (written by ``repro
+run --telemetry DIR``) and reports, with noise-aware thresholds:
 
 * **regressions** -- metrics that moved in the bad direction by more
   than the tolerance,
@@ -18,9 +17,9 @@ lower-is-better, and wall-clock timings get a wide tolerance because
 they are the noisiest thing a shared CI runner measures.  Everything
 is overridable via :func:`compare`'s arguments.
 
-The CI bench step runs ``repro compare BENCH_BASELINE.json
-BENCH_PR4.json --fail-on-regression`` as its gate; the same command
-works on two ``--telemetry`` directories to diff experiment runs.
+CI's resume smoke test gates on ``repro compare REF_DIR RESUMED_DIR
+--fail-on-regression``.  Speed is not judged here: that is the job of
+the end-to-end benchmark in ``e2ebench/``.
 """
 
 from __future__ import annotations
@@ -36,17 +35,13 @@ from repro.obs.runlog import read_events
 DEFAULT_RTOL = 0.02
 
 #: Relative tolerance for wall-clock style metrics (noisy on shared
-#: runners; a 25% swing in a timing micro-bench is routine).
+#: runners; a 25% swing in a timing is routine).
 NOISY_RTOL = 0.25
 
 #: Name fragments marking a metric as higher-is-better.
-#: ``identical`` covers the bench report's boolean determinism gates
-#: (flattened to 0/1): a True -> False flip must surface as a
-#: regression, not as a neutral "changed".
-_HIGHER_BETTER = ("per_sec", "per_second", "speedup", "throughput",
-                  "hit_rate", "hits", "utilization", "goodput",
-                  "jain", "identical", "flows_completed",
-                  "off_over_on_ratio")
+_HIGHER_BETTER = ("per_sec", "per_second", "throughput", "hit_rate",
+                  "hits", "utilization", "goodput", "jain",
+                  "flows_completed")
 
 #: Name fragments marking a metric as lower-is-better.  The
 #: ``*_share`` entries are the forensics FCT-attribution components
@@ -62,15 +57,17 @@ _LOWER_BETTER = ("wall_s", "cpu_s", "_seconds", "seconds_total",
                  "rate_limited_share", "residual_share")
 
 #: Name fragments marking a metric as timing-noisy (wide tolerance).
+#: They match only at the end of the name or of a dotted component,
+#: so counts such as ``pfc.sw.pauses_sent_total`` and fractions such
+#: as ``obs.forensics.paused_share.mean`` keep the tight default.
 _NOISY = ("wall_s", "cpu_s", "_seconds", "per_sec", "per_second",
-          "speedup", "_s", "latency", "row_s")
+          "_s", "latency")
 
 
 def metric_direction(name: str) -> int:
     """+1 higher-is-better, -1 lower-is-better, 0 neutral.
 
-    Longest-fragment match wins, so ``cache_warm_speedup`` (higher)
-    beats the ``_s`` suffix buried in it.
+    When fragments of both directions match, the longest one wins.
     """
     best_len, best_dir = 0, 0
     lowered = name.lower()
@@ -89,7 +86,7 @@ def metric_rtol(name: str, default: float = DEFAULT_RTOL) -> float:
     """Noise-aware relative tolerance for ``name``."""
     lowered = name.lower()
     for fragment in _NOISY:
-        if lowered.endswith(fragment) or fragment in lowered:
+        if lowered.endswith(fragment) or f"{fragment}." in lowered:
             return NOISY_RTOL
     return default
 
@@ -154,40 +151,6 @@ class RegressionReport:
 
 
 # -- source loading -----------------------------------------------------------
-
-
-def _flatten(prefix: str, value, out: Dict[str, float]) -> None:
-    """Collect numeric leaves of nested dicts as dotted names.
-
-    Booleans flatten to 0/1 so the bench report's gate flags (the
-    sweep determinism checks) participate in the diff: a True ->
-    False flip is a -100% move, far beyond any tolerance, and the
-    direction fragments classify it as a regression.
-    """
-    if isinstance(value, bool):
-        out[prefix] = 1.0 if value else 0.0
-        return
-    if isinstance(value, (int, float)):
-        out[prefix] = float(value)
-    elif isinstance(value, dict):
-        for key, child in value.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key),
-                     child, out)
-
-
-def _load_bench(path: Path) -> Tuple[Dict[str, float],
-                                     Dict[str, set],
-                                     Dict[str, str]]:
-    with open(path, encoding="utf-8") as stream:
-        report = json.load(stream)
-    metrics: Dict[str, float] = {}
-    # Environment descriptors are identity, not performance; diffing
-    # them as metrics would flag "python 3.11 -> 3.12" as a change.
-    for key in ("platform", "python", "cpu_count", "version",
-                "pre_pr_baseline"):
-        report.pop(key, None)
-    _flatten("", report, metrics)
-    return metrics, {}, {}
 
 
 def _snapshot_metrics(snapshot: Dict[str, dict]) -> Dict[str, float]:
@@ -258,19 +221,20 @@ def _load_telemetry_dir(directory: Path) -> Tuple[Dict[str, float],
 def load_source(source: Union[str, Path]) -> Tuple[Dict[str, float],
                                                    Dict[str, set],
                                                    Dict[str, str]]:
-    """Load a compare side: bench JSON or telemetry directory.
+    """Load a compare side from a telemetry directory.
 
     Returns ``(metrics, findings_per_experiment,
-    verdict_per_experiment)``; the finding/verdict maps are empty for
-    bench reports.
+    verdict_per_experiment)``.
     """
     path = Path(source)
     if path.is_dir():
         return _load_telemetry_dir(path)
-    if path.is_file():
-        return _load_bench(path)
-    raise FileNotFoundError(f"no such bench report or telemetry "
-                            f"directory: {source}")
+    if path.exists():
+        raise NotADirectoryError(
+            f"{source} is not a directory: repro compare needs a "
+            f"telemetry directory (written by 'repro run --telemetry "
+            f"DIR')")
+    raise FileNotFoundError(f"no such telemetry directory: {source}")
 
 
 # -- comparison ---------------------------------------------------------------

@@ -33,9 +33,10 @@ Architecture, mirroring the active-registry pattern of
 Zero-cost rule: experiments attach monitors **only when a session is
 active** (:func:`current_session` is None while telemetry is off), so
 the packet event loop and the DDE stepping loop never see a detector
-unless the user asked for one.  The bench guard in
-:func:`repro.perf.bench.bench_telemetry_overhead` holds the attached
-case to the same throughput as well.
+unless the user asked for one.  An attached detector costs one
+heap event per sample (:meth:`~repro.sim.engine.Simulator.sample_every`),
+not one per packet; the e2ebench ``fig05_observed`` workload times
+that case end to end.
 
 Snapshot signal names (all optional; detectors skip missing ones):
 

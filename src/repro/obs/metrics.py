@@ -23,7 +23,7 @@ installed :class:`MetricsRegistry` or, by default, the shared
 Instrumented code publishes unconditionally; whether anything is
 recorded is decided by whoever (the :class:`~repro.obs.telemetry
 .Telemetry` context) installed a real registry.  Hot loops follow one
-rule, enforced by a bench guard in the test suite: **publish at
+rule, enforced by a spy-registry test in the suite: **publish at
 aggregation points (end of run, end of attempt), never per event**.
 """
 

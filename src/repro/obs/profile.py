@@ -20,9 +20,9 @@ matches a known engine category:
     Anything else (numpy internals, experiment glue).
 
 The profiled thread pays **nothing** per event -- the sampler only
-reads its stack from the outside -- so profiler-on overhead stays
-within the ``bench_event_loop`` gate (< 5 %); the cost scales with
-the *sampling* rate, not the event rate.
+reads its stack from the outside and installs no trace or profile
+hook (``tests/test_profile.py`` checks both) -- so the cost scales
+with the *sampling* rate, not the event rate.
 
 Samples aggregate into per-category shares published at stop time
 (the aggregation-point rule) as ``obs.profile.*`` gauges, plus the

@@ -1,4 +1,4 @@
-"""Performance layer: parallel sweeps, result caching, benchmarks.
+"""Performance layer: parallel sweeps, result caching, resilience.
 
 The paper's artefacts are dense parameter grids, small enough for one
 machine; this package runs them there:
@@ -10,9 +10,6 @@ machine; this package runs them there:
 * :class:`~repro.perf.cache.ResultCache` memoizes cell results on disk,
   keyed by experiment id, canonical parameters, and a fingerprint of
   the package sources;
-* :mod:`repro.perf.bench` measures the hot loops (event engine, port
-  serialization, DDE stepping, margin sweeps) and emits the JSON
-  consumed by the perf-trajectory tooling;
 * :mod:`repro.perf.resilience` makes long sweeps survivable:
   :class:`~repro.perf.resilience.ResiliencePolicy` adds per-cell
   timeouts, bounded retries with backoff and poison-cell quarantine
@@ -20,6 +17,10 @@ machine; this package runs them there:
   :class:`~repro.perf.resilience.SweepJournal` gives crash-surviving
   ``--resume``, and :class:`~repro.perf.resilience.CrashCapsule` +
   ``repro replay`` reproduce terminal cell failures deterministically.
+
+Speed is measured end to end by ``e2ebench/`` at the repository root
+(see ``docs/PERFORMANCE.md``), not by micro-benchmarks in this
+package.
 """
 
 from repro.perf.cache import (CacheStats, ResultCache, canonicalize,

@@ -82,11 +82,10 @@ DEFAULT_POOL_RESPAWNS = 3
 #: Estimated cost to spawn and warm one pool worker process, seconds
 #: (fork/spawn + interpreter + ``import repro``).  The probe-based
 #: dispatcher compares the measured per-cell cost against this to
-#: decide whether a pool can possibly pay for itself: BENCH_PR6
-#: recorded ``parallel_speedup: 0.76`` on the default
-#: ``ext_stability_map`` grid (11 cells x ~28 ms on an
-#: affinity-limited single CPU) precisely because the old runner
-#: spawned four workers it could never amortize.
+#: decide whether a pool can possibly pay for itself: on an
+#: affinity-limited single CPU the default ``ext_stability_map`` grid
+#: (11 cells x ~28 ms) ran at 0.76x serial speed with an old runner
+#: that spawned four workers it could never amortize.
 POOL_SPAWN_COST_S = 0.35
 
 #: Probe time below which cells count as "cheap" and parallel
@@ -123,8 +122,7 @@ def effective_cpu_count() -> int:
     """CPUs actually available to this process, not the machine total.
 
     ``os.cpu_count()`` reports every core in the box, which oversells
-    a cgroup-limited CI runner or a taskset-pinned job (BENCH_PR5
-    recorded ``cpu_count: 1`` for exactly this reason).  Prefer
+    a cgroup-limited CI runner or a taskset-pinned job.  Prefer
     ``os.process_cpu_count()`` (3.13+), then the scheduler affinity
     mask, then fall back to the raw count.
     """

@@ -181,34 +181,38 @@ class TestWatchCommand:
 
 
 class TestCompareCommand:
-    def _bench(self, path, rate):
-        import json
-        path.write_text(json.dumps(
-            {"micro": {"event_loop_events_per_sec": rate}}))
+    @pytest.fixture
+    def run_dir(self, write_log):
+        def write(directory, rate):
+            return str(write_log(directory,
+                                 {"sim.engine.events_per_sec": rate}))
+        return write
 
-    def test_compare_clean_exits_zero(self, tmp_path, capsys):
-        self._bench(tmp_path / "a.json", 1000.0)
-        self._bench(tmp_path / "b.json", 1010.0)
-        assert main(["compare", str(tmp_path / "a.json"),
-                     str(tmp_path / "b.json"),
+    def test_compare_clean_exits_zero(self, tmp_path, capsys, run_dir):
+        assert main(["compare", run_dir(tmp_path / "a", 1000.0),
+                     run_dir(tmp_path / "b", 1010.0),
                      "--fail-on-regression"]) == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_compare_gate_fails_on_regression(self, tmp_path,
-                                              capsys):
-        self._bench(tmp_path / "a.json", 1000.0)
-        self._bench(tmp_path / "b.json", 100.0)
-        assert main(["compare", str(tmp_path / "a.json"),
-                     str(tmp_path / "b.json"),
+    def test_compare_gate_fails_on_regression(self, tmp_path, capsys,
+                                              run_dir):
+        assert main(["compare", run_dir(tmp_path / "a", 1000.0),
+                     run_dir(tmp_path / "b", 100.0),
                      "--fail-on-regression"]) == 1
         assert "REGRESSIONS" in capsys.readouterr().out
 
     def test_compare_without_gate_reports_but_passes(self, tmp_path,
-                                                     capsys):
-        self._bench(tmp_path / "a.json", 1000.0)
-        self._bench(tmp_path / "b.json", 100.0)
-        assert main(["compare", str(tmp_path / "a.json"),
-                     str(tmp_path / "b.json")]) == 0
+                                                     capsys, run_dir):
+        assert main(["compare", run_dir(tmp_path / "a", 1000.0),
+                     run_dir(tmp_path / "b", 100.0)]) == 0
+
+    def test_compare_file_source_fails(self, tmp_path, capsys,
+                                       run_dir):
+        bench = tmp_path / "BENCH_OLD.json"
+        bench.write_text('{"micro": {}}')
+        assert main(["compare", str(bench),
+                     run_dir(tmp_path / "b", 1.0)]) == 2
+        assert "telemetry directory" in capsys.readouterr().err
 
     def test_compare_missing_source_fails(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "nope"),

@@ -204,6 +204,37 @@ class TestRunControl:
         assert log == ["first", "second"]
         assert sim.now == pytest.approx(1.0)
 
+    def test_until_less_run_with_stopped_sampler_returns(self):
+        # A sampler reschedules itself through the heap, so without
+        # stop= an until-less run() would never drain once the work
+        # ends; with it the run returns.  max_events turns a hang
+        # into a failure.
+        from repro.obs.health import (HealthMonitor,
+                                      QueueOscillationDetector)
+        sim = Simulator()
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < 2_000:
+                sim.schedule(1e-6, tick)
+
+        monitor = HealthMonitor(
+            [QueueOscillationDetector(window=1e-3, check_interval=1e-3)],
+            session=None)
+        samples = []
+
+        def sample(now):
+            samples.append(now)
+            monitor.sample(now, queue=count[0])
+
+        sim.sample_every(2e-5, sample, stop=2e-3)
+        sim.schedule(0.0, tick)
+        sim.run(max_events=10_000)
+        assert count[0] == 2_000
+        assert sim.pending_events == 0
+        assert samples and samples[-1] <= 2e-3
+
     def test_cancel_survives_stop_and_rerun(self):
         sim = Simulator()
         log = []

@@ -365,7 +365,46 @@ class TestSurfaces:
         assert "worst_flows" not in verdict
 
 
+class _LedgerCalled(Exception):
+    pass
+
+
 class TestZeroCostOff:
+    _RECORDING = ("attach", "register_flow", "on_enqueue",
+                  "on_departure", "on_drop", "on_pause", "on_resume",
+                  "on_rate_change", "on_control", "finalize")
+
+    def _dumbbell_run(self):
+        from repro.sim.red import REDMarker
+        from repro.sim.topology import dumbbell
+        params = DCQCNParams.paper_default(capacity_gbps=10,
+                                           num_flows=4)
+        marker = REDMarker(params.red, params.mtu_bytes, seed=3)
+        net = dumbbell(4, link_gbps=10, marker=marker)
+        attach_flow_forensics(net)
+        done = []
+        for i in range(4):
+            install_flow(net, "dcqcn", f"s{i}", f"r{i}", 256_000, 0.0,
+                         params, on_complete=done.append)
+        net.sim.run(until=0.005)
+        return net, done
+
+    def test_off_run_never_calls_the_ledger(self, monkeypatch):
+        # The forensics hooks sit behind ``ledger is None`` guards in
+        # the port and protocol hot paths; with no ledger active not
+        # one recording method may run.
+        def refuse(self, *args, **kwargs):
+            raise _LedgerCalled("ledger called with forensics off")
+
+        for name in self._RECORDING:
+            monkeypatch.setattr(FlowLedger, name, refuse)
+        net, done = self._dumbbell_run()
+        assert len(done) == 4
+        assert net.bottleneck_port.packets_transmitted > 0
+        # The patch bites as soon as a ledger is active.
+        with use_ledger(FlowLedger()), pytest.raises(_LedgerCalled):
+            self._dumbbell_run()
+
     def test_ports_carry_no_ledger_by_default(self):
         net = single_switch(2, link_gbps=10)
         assert attach_flow_forensics(net) is None

@@ -330,13 +330,3 @@ class TestRegistryUniformKwargs:
         rows = EXPERIMENTS["ext_stability_map"].run(
             flow_counts=(1,), delays_us=(4.0,), workers=2)
         assert len(rows) == 1
-
-
-class TestBenchHealthVariant:
-    def test_health_attached_event_loop_terminates(self):
-        # The health sampler self-reschedules through the heap; the
-        # bench must bound it with stop= or an until-less run() spins
-        # forever once the tick chain ends.
-        from repro.perf.bench import bench_event_loop
-        rate = bench_event_loop(2_000, attach_health=True)
-        assert rate > 0

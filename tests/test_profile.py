@@ -3,6 +3,7 @@ classification into engine layers, and the metrics and run-log
 payloads it publishes."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -10,6 +11,23 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (SamplingProfiler, classify_frame,
                                profiled, publish_engine_rates)
+from repro.sim.engine import Simulator
+
+
+def _event_loop_rate(n_events):
+    """Self-rescheduling no-op events per second through the heap."""
+    sim = Simulator()
+    count = [0]
+
+    def tick():
+        count[0] += 1
+        if count[0] < n_events:
+            sim.schedule(1e-6, tick)
+
+    sim.schedule(0.0, tick)
+    started = time.perf_counter()
+    sim.run()
+    return n_events / (time.perf_counter() - started)
 
 
 def _busy(deadline_s):
@@ -102,13 +120,32 @@ class TestSamplingProfiler:
     def test_overhead_within_bound(self):
         """Sampling from the sidecar must not tax the event loop.
 
-        CI gates the full-size run at >= 0.95 (the < 5 % budget);
-        here a shorter run with a loose 0.5 floor guards against a
-        regression to per-event instrumentation without inviting
-        timer flake.
+        A loose 0.5 floor on the on/off throughput ratio guards
+        against a regression to per-event instrumentation without
+        inviting timer flake.
         """
-        from repro.perf.bench import bench_profiler_overhead
-        result = bench_profiler_overhead(n_events=30_000)
-        assert result["on_over_off_ratio"] > 0.5
-        assert result["events_per_sec_off"] > 0
-        assert "shares" in result
+        off_rate = _event_loop_rate(30_000)
+        profiler = SamplingProfiler()
+        profiler.start()
+        try:
+            on_rate = _event_loop_rate(30_000)
+        finally:
+            profiler.stop()
+        assert off_rate > 0
+        assert on_rate / off_rate > 0.5
+
+    def test_installs_no_trace_or_profile_hook(self):
+        # The zero-per-event-cost contract: the sidecar reads stacks
+        # from outside and never hooks the profiled thread.  (Compared
+        # against the starting hooks, not None, so a coverage tracer
+        # does not fail the test.)
+        before = (sys.gettrace(), sys.getprofile())
+        profiler = SamplingProfiler(interval=0.001)
+        profiler.start()
+        try:
+            _busy(0.05)
+            during = (sys.gettrace(), sys.getprofile())
+        finally:
+            profiler.stop()
+        assert during == before
+        assert profiler.total_samples > 0

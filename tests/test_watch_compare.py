@@ -173,8 +173,8 @@ class TestWatchLoop:
 
 class TestDirectionHeuristics:
     def test_throughput_is_higher_better(self):
-        assert metric_direction("micro.event_loop_events_per_sec") == 1
-        assert metric_direction("sweeps.x.cache_warm_speedup") == 1
+        assert metric_direction("fig05.sim.engine.events_per_sec") == 1
+        assert metric_direction("fig14.perf.cache.hits_total") == 1
 
     def test_timings_and_errors_are_lower_better(self):
         assert metric_direction("fig04.run.wall_s") == -1
@@ -183,9 +183,27 @@ class TestDirectionHeuristics:
             == -1
 
     def test_timing_noise_gets_wide_tolerance(self):
-        assert metric_rtol("sweeps.fct_study.serial_s") > 0.2
+        assert metric_rtol("fig14.run.wall_s") > 0.2
+        assert metric_rtol("fig14.perf.sweep.cell_seconds.mean") > 0.2
         assert metric_rtol("sim.engine.events_total") == \
             pytest.approx(0.02)
+
+    def test_counts_and_shares_keep_tight_tolerance(self):
+        # ``_s`` and ``_seconds`` inside a name are not timings: PFC
+        # frame counts, sim-time totals and FCT shares are exact.
+        for name in ("fig05.pfc.sw.pauses_sent_total",
+                     "fig05.pfc.sw.resumes_sent_total",
+                     "fig05.pfc.sw.pause_seconds_total",
+                     "ext_incast_pfc.obs.forensics.paused_share.mean",
+                     "ext_incast_pfc.obs.forensics.queueing_share.count"):
+            assert metric_rtol(name) == pytest.approx(0.02), name
+
+    def test_pause_frame_rise_is_a_regression(self, tmp_path,
+                                              write_log):
+        name = "pfc.sw.pauses_sent_total"
+        report = compare(write_log(tmp_path / "a", {name: 100.0}),
+                         write_log(tmp_path / "b", {name: 120.0}))
+        assert [d.name for d in report.regressions] == [f"demo.{name}"]
 
     def test_classification(self):
         regress = MetricDelta("x.events_per_sec", 100.0, 50.0,
@@ -200,25 +218,12 @@ class TestDirectionHeuristics:
 
 
 class TestCompare:
-    def test_bench_reports(self, tmp_path):
-        for name, rate in (("a.json", 1000.0), ("b.json", 400.0)):
-            (tmp_path / name).write_text(json.dumps({
-                "version": 3, "python": "3.11", "platform": "x",
-                "micro": {"event_loop_events_per_sec": rate}}))
-        report = compare(tmp_path / "a.json", tmp_path / "b.json")
-        assert [d.name for d in report.regressions] \
-            == ["micro.event_loop_events_per_sec"]
-        assert report.has_regressions
-        assert report.exit_code(fail_on_regression=True) == 1
-        assert report.exit_code(fail_on_regression=False) == 0
-
-    def test_environment_fields_not_diffed(self, tmp_path):
-        (tmp_path / "a.json").write_text(json.dumps(
-            {"python": "3.9", "cpu_count": 1, "micro": {}}))
-        (tmp_path / "b.json").write_text(json.dumps(
-            {"python": "3.12", "cpu_count": 64, "micro": {}}))
-        report = compare(tmp_path / "a.json", tmp_path / "b.json")
-        assert not report.regressions and not report.changed
+    def test_file_source_rejected(self, tmp_path, write_log):
+        bench = tmp_path / "BENCH_OLD.json"
+        bench.write_text(json.dumps({"micro": {}}))
+        with pytest.raises(NotADirectoryError,
+                           match="telemetry directory"):
+            compare(bench, write_log(tmp_path / "b", {}))
 
     def test_telemetry_dirs_diff_health_and_verdicts(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -251,16 +256,14 @@ class TestCompare:
         assert findings["fig05"] == set()
         assert verdicts["fig05"] == "clean"
 
-    def test_rtol_override(self, tmp_path):
-        for name, value in (("a.json", 100.0), ("b.json", 98.0)):
-            (tmp_path / name).write_text(json.dumps(
-                {"micro": {"event_loop_events_per_sec": value}}))
-        loose = compare(tmp_path / "a.json", tmp_path / "b.json")
+    def test_rtol_override(self, tmp_path, write_log):
+        name = "sim.engine.events_per_sec"
+        a = write_log(tmp_path / "a", {name: 100.0})
+        b = write_log(tmp_path / "b", {name: 98.0})
+        loose = compare(a, b)
         assert not loose.regressions  # -2% within the noisy 25%
-        tight = compare(tmp_path / "a.json", tmp_path / "b.json",
-                        rtol=0.01)
-        assert [d.name for d in tight.regressions] \
-            == ["micro.event_loop_events_per_sec"]
+        tight = compare(a, b, rtol=0.01)
+        assert [d.name for d in tight.regressions] == [f"demo.{name}"]
 
     def test_missing_source_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -277,33 +280,17 @@ class TestCompare:
 
 
 class TestCompareDroppedSection:
-    """A bench section deleted along with its code reads as removed."""
+    """A metric deleted along with its code reads as removed."""
 
-    def bench(self, tmp_path, name, report):
-        (tmp_path / name).write_text(json.dumps(report))
-        return tmp_path / name
-
-    def test_dropped_section_is_removed_not_regressed(self, tmp_path):
-        micro = {"event_loop_events_per_sec": 1000.0}
-        a = self.bench(tmp_path, "a.json", {
-            "micro": micro,
-            "engines": {
-                "calendar": {"event_loop_events_per_sec": 600.0},
-                "hybrid": {"tail_mean_within_tolerance": True}}})
-        b = self.bench(tmp_path, "b.json", {"micro": micro})
+    def test_dropped_section_is_removed_not_regressed(self, tmp_path,
+                                                      write_log):
+        kept = {"sim.engine.events_per_sec": 1000.0}
+        a = write_log(tmp_path / "a", {
+            **kept, "sim.packet.pool_allocated": 600.0,
+            "sim.packet.pool_reused": 40.0})
+        b = write_log(tmp_path / "b", kept)
         report = compare(a, b)
-        assert report.removed == [
-            "engines.calendar.event_loop_events_per_sec",
-            "engines.hybrid.tail_mean_within_tolerance"]
+        assert report.removed == ["demo.sim.packet.pool_allocated",
+                                  "demo.sim.packet.pool_reused"]
         assert not report.has_regressions
         assert report.exit_code(fail_on_regression=True) == 0
-
-    def test_identical_flag_flip_is_regression(self, tmp_path):
-        a = self.bench(tmp_path, "a.json", {
-            "sweeps": {"ext_stability_map": {"identical": True}}})
-        b = self.bench(tmp_path, "b.json", {
-            "sweeps": {"ext_stability_map": {"identical": False}}})
-        report = compare(a, b)
-        assert [d.name for d in report.regressions] \
-            == ["sweeps.ext_stability_map.identical"]
-        assert report.exit_code(fail_on_regression=True) == 1
