@@ -39,6 +39,9 @@ MIN_RATE = 1.0
 #: Marking probabilities are clamped below 1 so ``log1p(-p)`` stays finite.
 _P_CEIL = 1.0 - 1e-12
 
+#: ``np.sum`` without its Python wrapper; the same pairwise summation.
+_add_reduce = np.add.reduce
+
 
 class QCNEventRates(NamedTuple):
     """Per-flow event rates derived from the paper's a-e factors.
@@ -79,33 +82,15 @@ def survival_exponent(p: float, count: "np.ndarray | float") -> np.ndarray:
     return np.exp(np.asarray(count, dtype=float) * np.log1p(-p))
 
 
-def _event_rate(p: float, rate: np.ndarray, window_packets: np.ndarray,
-                zero_p_rate: np.ndarray) -> np.ndarray:
-    """``rate * p / ((1-p)^{-window} - 1)`` with its ``p -> 0`` limit.
-
-    ``window_packets`` is the inter-event packet count (``B`` for the
-    byte counter, ``T*R`` for the timer); ``zero_p_rate`` is the exact
-    limit of the expression as ``p -> 0`` (``R/B`` resp. ``1/T``).
-    """
-    if p <= 0.0:
-        return np.asarray(zero_p_rate, dtype=float).copy()
-    p = min(p, _P_CEIL)
-    exponent = -np.asarray(window_packets, dtype=float) * np.log1p(-p)
-    out = np.empty_like(exponent)
-    tiny = exponent < 1e-12
-    with np.errstate(over="ignore"):
-        # Overflow to +inf is the intended limit: a huge inter-event
-        # exponent means the event (an unmarked window of that many
-        # packets) essentially never happens, so the rate is ~0.
-        denominator = np.expm1(exponent[~tiny])
-        out[~tiny] = p * np.asarray(rate, dtype=float)[~tiny] / denominator
-    out[tiny] = np.asarray(zero_p_rate, dtype=float)[tiny]
-    return out
-
-
 def qcn_event_rates(p: float, delayed_rate: np.ndarray,
                     params: DCQCNParams) -> QCNEventRates:
     """Evaluate the Eq. 12 factors as event rates for each flow.
+
+    A byte-counter or timer event fires after an unmarked window of
+    ``W`` packets (``B``, resp. ``T*R``), at rate
+    ``R p / ((1-p)^{-W} - 1)``; its ``p -> 0`` limit is ``R/W``.  The
+    limit is used wherever the exponent ``-W log1p(-p)`` is below
+    1e-12, where ``expm1`` of it would lose the ratio.
 
     Parameters
     ----------
@@ -116,23 +101,56 @@ def qcn_event_rates(p: float, delayed_rate: np.ndarray,
     params:
         DCQCN parameter set supplying ``B``, ``T``, ``F``, ``tau``.
     """
-    rate = np.maximum(np.asarray(delayed_rate, dtype=float), MIN_RATE)
+    rate = np.maximum(delayed_rate, MIN_RATE)
+    if p <= 0.0:
+        # No marks: no window delivers a CNP, and both counters fire
+        # at their p -> 0 limits with every event past fast recovery.
+        byte_rate = rate / params.byte_counter
+        timer_rate = np.full_like(rate, 1.0 / params.timer)
+        return QCNEventRates(np.zeros_like(rate), byte_rate,
+                             byte_rate.copy(), timer_rate,
+                             timer_rate.copy())
+    p = min(p, _P_CEIL)
+    log_keep = np.log1p(-p)  # log of one packet's no-mark probability
+
+    mark_fraction = params.tau * rate
+    mark_fraction *= log_keep
+    np.expm1(mark_fraction, out=mark_fraction)
+    np.negative(mark_fraction, out=mark_fraction)
+
+    p_rate = p * rate
+    # The byte-counter window B is the same for every flow, so its
+    # exponent is one scalar; the timer window T*R is per flow.
+    byte_exponent = -params.byte_counter * log_keep
+    timer_exponent = params.timer * rate
+    timer_exponent *= -log_keep
+    # Rates are floored at MIN_RATE and rounding is monotone, so no
+    # flow's timer exponent is below the MIN_RATE flow's: the per-flow
+    # p -> 0 test is needed only when that bound is tiny.
+    some_timer_tiny = params.timer * MIN_RATE * -log_keep < 1e-12
+    with np.errstate(over="ignore"):
+        # Overflow to +inf is the intended limit: a huge inter-event
+        # exponent means the event (an unmarked window of that many
+        # packets) essentially never happens, so the rate is ~0.
+        if byte_exponent < 1e-12:
+            byte_rate = rate / params.byte_counter
+        else:
+            byte_rate = p_rate / np.expm1(byte_exponent)
+        if some_timer_tiny:
+            tiny = timer_exponent < 1e-12
+            kept = ~tiny
+            timer_rate = np.full_like(rate, 1.0 / params.timer)
+            timer_rate[kept] = p_rate[kept] / np.expm1(
+                timer_exponent[kept])
+        else:
+            timer_rate = p_rate / np.expm1(timer_exponent)
+    # Survival past fast recovery, (1-p)^{F B} and (1-p)^{F T R}: the
+    # exp/log form of survival_exponent, sharing its log1p(-p).
     f_steps = float(params.fast_recovery_steps)
-
-    mark_fraction = -np.expm1(
-        params.tau * rate * np.log1p(-min(max(p, 0.0), _P_CEIL))
-    ) if p > 0.0 else np.zeros_like(rate)
-
-    byte_window = np.full_like(rate, params.byte_counter)
-    byte_rate = _event_rate(p, rate, byte_window, rate / params.byte_counter)
-    byte_ai_rate = byte_rate * survival_exponent(
-        p, f_steps * params.byte_counter)
-
-    timer_window = params.timer * rate
-    timer_rate = _event_rate(p, rate, timer_window,
-                             np.full_like(rate, 1.0 / params.timer))
-    timer_ai_rate = timer_rate * survival_exponent(
-        p, f_steps * params.timer * rate)
+    byte_ai_rate = byte_rate * np.exp(
+        f_steps * params.byte_counter * log_keep)
+    timer_ai_rate = timer_rate * np.exp(
+        f_steps * params.timer * rate * log_keep)
 
     return QCNEventRates(mark_fraction, byte_rate, byte_ai_rate,
                          timer_rate, timer_ai_rate)
@@ -231,6 +249,13 @@ class DCQCNFluidModel(FluidModel):
         self._rt_sl = slice(1 + self.n, 1 + 2 * self.n)
         self._rc_sl = slice(1 + 2 * self.n, 1 + 3 * self.n)
         self._always_active = not np.any(self.start_times > 0.0)
+        # Per-column bounds for clamp(): [q, alpha, R_T, R_C] ->
+        # [0, inf), [0, 1], [MIN_RATE, line rate], [MIN_RATE, line rate].
+        n = self.n
+        self._lower = np.concatenate(
+            [[0.0], np.zeros(n), np.full(2 * n, MIN_RATE)])
+        self._upper = np.concatenate(
+            [[np.inf], np.ones(n), np.full(2 * n, float(self.line_rate))])
 
     # -- state vector layout -------------------------------------------------
 
@@ -287,21 +312,24 @@ class DCQCNFluidModel(FluidModel):
 
     def derivatives(self, t: float, state: np.ndarray,
                     history: UniformHistory) -> np.ndarray:
+        # Per-flow arrays are short (N is 2-64 in the paper's runs), so
+        # numpy's per-call cost, not arithmetic, dominates: each term
+        # is built in place, in the output where it can be, with every
+        # element's operation order kept (so results are bit-identical
+        # to the direct transcription of Eqs. 4-7).
         p = self.params
-        rc_sl = self._rc_sl
-        queue = state[self.queue_index]
         alpha = state[self._alpha_sl]
         rt = state[self._rt_sl]
-        rc = state[rc_sl]
+        rc = state[self._rc_sl]
 
         mark_p = self.marking_probability(t, history)
         # The delayed rate shares the (possibly jittered) feedback path:
         # the CNP describes packets sent one control-loop delay ago.
         # Only the R_C block of the delayed state is needed, so the
         # interpolation is restricted to those columns.
-        delayed_rc = history.interpolate(
-            t - p.tau_star - self.feedback_jitter(t), rc_sl)
-        delayed_rc = np.maximum(delayed_rc, MIN_RATE)
+        delayed_rc = np.maximum(history.interpolate(
+            t - p.tau_star - self.feedback_jitter(t), self._rc_sl),
+            MIN_RATE)
 
         events = qcn_event_rates(mark_p, delayed_rc, p)
 
@@ -309,48 +337,59 @@ class DCQCNFluidModel(FluidModel):
         # rate; it cannot drain below empty.
         if self._always_active:
             active = None
-            dq = float(np.sum(rc)) - p.capacity
+            dq = float(_add_reduce(rc)) - p.capacity
         else:
             active = t >= self.start_times
-            dq = float(np.sum(rc[active])) - p.capacity
-        if queue <= 0.0 and dq < 0.0:
+            dq = float(_add_reduce(rc[active])) - p.capacity
+        if state[self.queue_index] <= 0.0 and dq < 0.0:
             dq = 0.0
+        out = np.empty_like(state)
+        out[self.queue_index] = dq
 
         # Eq. 5: alpha chases the delayed marked-window fraction for the
         # tau'-long CNP observation window.
-        alpha_target = -np.expm1(
-            p.tau_prime * delayed_rc * np.log1p(-min(mark_p, _P_CEIL))
-        ) if mark_p > 0.0 else np.zeros(self.n)
-        dalpha = (p.g / p.tau_prime) * (alpha_target - alpha)
+        dalpha = out[self._alpha_sl]
+        if mark_p > 0.0:
+            np.multiply(p.tau_prime, delayed_rc, out=dalpha)
+            dalpha *= np.log1p(-min(mark_p, _P_CEIL))
+            np.expm1(dalpha, out=dalpha)
+            np.negative(dalpha, out=dalpha)
+            dalpha -= alpha
+        else:
+            np.subtract(0.0, alpha, out=dalpha)
+        dalpha *= p.g / p.tau_prime
 
         # Eq. 6: target rate forgets toward R_C on CNPs, gains R_AI on
         # post-fast-recovery byte/timer events.
-        drt = (-(rt - rc) / p.tau * events.mark_fraction
-               + p.rate_ai * (events.byte_ai_rate + events.timer_ai_rate))
+        gap = rt - rc
+        drt = out[self._rt_sl]
+        np.negative(gap, out=drt)
+        drt /= p.tau
+        drt *= events.mark_fraction
+        ai_events = events.byte_ai_rate + events.timer_ai_rate
+        ai_events *= p.rate_ai
+        drt += ai_events
 
         # Eq. 7: multiplicative decrease on CNPs plus the QCN averaging
         # (R_C + R_T)/2 on every byte/timer event.
-        drc = (-(rc * alpha) / (2.0 * p.tau) * events.mark_fraction
-               + (rt - rc) / 2.0 * (events.byte_rate + events.timer_rate))
+        drc = out[self._rc_sl]
+        np.multiply(rc, alpha, out=drc)
+        np.negative(drc, out=drc)
+        drc /= 2.0 * p.tau
+        drc *= events.mark_fraction
+        averaging = events.byte_rate + events.timer_rate
+        gap /= 2.0
+        averaging *= gap
+        drc += averaging
 
-        out = np.empty_like(state)
-        out[self.queue_index] = dq
-        if active is None:
-            out[self._alpha_sl] = dalpha
-            out[self._rt_sl] = drt
-            out[rc_sl] = drc
-        else:
-            out[self._alpha_sl] = np.where(active, dalpha, 0.0)
-            out[self._rt_sl] = np.where(active, drt, 0.0)
-            out[rc_sl] = np.where(active, drc, 0.0)
+        if active is not None:
+            # Flows that have not started yet keep their state frozen.
+            out[1:1 + 3 * self.n].reshape(3, self.n)[:, ~active] = 0.0
         return out
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
-        state[self.queue_index] = max(state[self.queue_index], 0.0)
-        np.clip(state[self.alpha_slice()], 0.0, 1.0,
-                out=state[self.alpha_slice()])
-        np.clip(state[self.rt_slice()], MIN_RATE, self.line_rate,
-                out=state[self.rt_slice()])
-        np.clip(state[self.rc_slice()], MIN_RATE, self.line_rate,
-                out=state[self.rc_slice()])
+        # Bound first: the operand order whose result matches the
+        # np.clip this replaces, down to the sign of a zero.
+        np.maximum(self._lower, state, out=state)
+        np.minimum(self._upper, state, out=state)
         return state

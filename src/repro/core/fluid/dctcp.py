@@ -98,6 +98,12 @@ class DCTCPFluidModel(FluidModel):
             raise ValueError(
                 f"initial_queue must be >= 0, got {initial_queue}")
         self._initial_queue = float(initial_queue)
+        # Per-column bounds for clamp(): [q, alpha, w] -> [0, inf),
+        # [0, 1], [MIN_WINDOW, inf).
+        self._lower = np.concatenate(
+            [[0.0], np.zeros(num_flows), np.full(num_flows, MIN_WINDOW)])
+        self._upper = np.concatenate(
+            [[np.inf], np.ones(num_flows), np.full(num_flows, np.inf)])
 
     # -- state layout ---------------------------------------------------------
 
@@ -159,9 +165,7 @@ class DCTCPFluidModel(FluidModel):
         return out
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
-        state[self.queue_index] = max(state[self.queue_index], 0.0)
-        np.clip(state[self.alpha_slice()], 0.0, 1.0,
-                out=state[self.alpha_slice()])
-        np.clip(state[self.window_slice()], MIN_WINDOW, None,
-                out=state[self.window_slice()])
+        # Bound first, as in DCQCNFluidModel.clamp.
+        np.maximum(self._lower, state, out=state)
+        np.minimum(self._upper, state, out=state)
         return state

@@ -295,15 +295,19 @@ def _integrate_once(model: FluidModel, stepper: Callable, t_start: float,
     # A single abs-max distinguishes all divergence modes: NaN
     # propagates through max (numpy's max returns NaN if any entry
     # is), inf exceeds any finite limit, and a finite blow-up exceeds
-    # the configured limit.  One reduction per step instead of two.
+    # the configured limit.  One reduction per step, called as the
+    # bare ufunc reduce: np.max's Python wrapper costs more than the
+    # reduction over a few dozen entries.
     limit = np.inf if divergence_limit is None else divergence_limit
     clamp = model.clamp
     append = history.append
+    max_reduce = np.maximum.reduce
+    absolute = np.abs
     t = t_start
     for step in range(1, n_steps + 1):
         state = stepper(model, t, state, dt, history)
         state = clamp(state)
-        magnitude = float(np.max(np.abs(state)))
+        magnitude = float(max_reduce(absolute(state)))
         # NaN fails every comparison (so `> limit` won't catch it) and
         # inf must trip even when the limit itself is inf.
         if magnitude > limit or magnitude != magnitude \

@@ -17,9 +17,11 @@ flows start with fixed initial rates and an empty queue.
 Storage is a single preallocated 2-D ring of rows.  The integrator
 knows its step count up front and passes ``capacity`` so the buffer is
 sized exactly once; an unsized history still grows geometrically.  The
-lookup paths index the buffer directly -- they run up to four times
-per RK4 step, every step, and are the hottest lines of the fluid
-experiments.
+lookup paths index the buffer directly: every right-hand-side
+evaluation makes one lookup per delayed term (two for DCQCN, N+1 for
+TIMELY with N flows), up to four evaluations per RK4 step.  Outside
+the models' right-hand sides they are the largest cost of a fluid run,
+about a tenth of it (docs/PERFORMANCE.md, "Fluid layer").
 """
 
 from __future__ import annotations
@@ -158,22 +160,23 @@ class UniformHistory:
         """Scalar lookup of one state component at time ``t``.
 
         Cheaper than ``self(t)[index]`` because it avoids building the
-        full interpolated vector; the DCQCN model calls this in its
-        inner loop for the delayed queue value.
+        full interpolated vector; the fluid models call this in their
+        inner loops for delayed queue values.  ``item`` hands back
+        Python floats, whose arithmetic is the same IEEE double
+        arithmetic without numpy's per-scalar overhead.
         """
-        data = self._data
+        item = self._data.item
         offset = (t - self._t0) / self._dt
         if offset <= 0.0:
-            return float(data[0, index])
+            return item(0, index)
         last = self._count - 1
         if offset >= last:
-            return float(data[last, index])
+            return item(last, index)
         lo = int(offset)
         frac = offset - lo
         if frac == 0.0:
-            return float(data[lo, index])
-        return float((1.0 - frac) * data[lo, index]
-                     + frac * data[lo + 1, index])
+            return item(lo, index)
+        return (1.0 - frac) * item(lo, index) + frac * item(lo + 1, index)
 
     def as_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
         """Return ``(times, states)`` copies of the full recorded history."""

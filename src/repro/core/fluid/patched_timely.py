@@ -54,7 +54,11 @@ class PatchedTimelyFluidModel(TimelyFluidModel):
     def weights(self, gradients: np.ndarray) -> np.ndarray:
         """Vectorized Eq. 30: linear ramp from 0 to 1 over g in [-1/4, 1/4]."""
         half = self.patched.weight_slope_halfwidth
-        return np.clip(gradients / (2.0 * half) + 0.5, 0.0, 1.0)
+        w = gradients / (2.0 * half)
+        w += 0.5
+        np.maximum(0.0, w, out=w)
+        np.minimum(1.0, w, out=w)
+        return w
 
     def rate_derivative(self, delayed_queue: float, gradients: np.ndarray,
                         rates: np.ndarray,

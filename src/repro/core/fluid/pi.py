@@ -50,6 +50,8 @@ class DCQCNPIFluidModel(DCQCNFluidModel):
                          initial_queue=initial_queue, line_rate=line_rate,
                          feedback_jitter=feedback_jitter)
         self.pi = pi
+        self._lower = np.append(self._lower, pi.p_min)
+        self._upper = np.append(self._upper, pi.p_max)
 
     @property
     def p_mark_index(self) -> int:
@@ -67,7 +69,7 @@ class DCQCNPIFluidModel(DCQCNFluidModel):
                             history: UniformHistory) -> float:
         lag = self.params.tau_star + self.feedback_jitter(t)
         delayed_p = history.component(t - lag, self.p_mark_index)
-        return float(np.clip(delayed_p, self.pi.p_min, self.pi.p_max))
+        return min(max(delayed_p, self.pi.p_min), self.pi.p_max)
 
     def derivatives(self, t: float, state: np.ndarray,
                     history: UniformHistory) -> np.ndarray:
@@ -84,12 +86,6 @@ class DCQCNPIFluidModel(DCQCNFluidModel):
                 (p_mark >= self.pi.p_max and dp > 0):
             dp = 0.0
         return np.append(base, dp)
-
-    def clamp(self, state: np.ndarray) -> np.ndarray:
-        super().clamp(state[:self.p_mark_index])
-        state[self.p_mark_index] = float(
-            np.clip(state[self.p_mark_index], self.pi.p_min, self.pi.p_max))
-        return state
 
 
 class PatchedTimelyPIFluidModel(PatchedTimelyFluidModel):
@@ -122,6 +118,10 @@ class PatchedTimelyPIFluidModel(PatchedTimelyFluidModel):
                 raise ValueError(
                     f"initial_p must have shape ({self.n},), got {p0.shape}")
             self._initial_p = p0
+        # The p_i are internal variables, free to go negative: the
+        # inherited clamp leaves their columns unbounded.
+        self._lower = np.concatenate([self._lower, np.full(self.n, -np.inf)])
+        self._upper = np.concatenate([self._upper, np.full(self.n, np.inf)])
 
     def p_slice(self) -> slice:
         """Columns holding the per-host PI variables ``p_i``."""
@@ -195,9 +195,3 @@ class PatchedTimelyPIFluidModel(PatchedTimelyFluidModel):
         out[self.rate_slice()] = np.where(active, dr, 0.0)
         out[self.p_slice()] = np.where(active, dp, 0.0)
         return out
-
-    def clamp(self, state: np.ndarray) -> np.ndarray:
-        state[self.queue_index] = max(state[self.queue_index], 0.0)
-        np.clip(state[self.rate_slice()], 1.0, self.line_rate,
-                out=state[self.rate_slice()])
-        return state

@@ -42,6 +42,9 @@ from repro.core.params import TimelyParams
 #: Floor on flow rates (packets/s); keeps ``Seg / R`` finite.
 MIN_RATE = 1.0
 
+#: ``np.sum`` without its Python wrapper; the same pairwise summation.
+_add_reduce = np.add.reduce
+
 
 class TimelyFluidModel(FluidModel):
     """The Fig. 7 delay-ODE system for ``N`` individually-tracked flows.
@@ -115,6 +118,14 @@ class TimelyFluidModel(FluidModel):
         self._gradient_sl = slice(1, 1 + self.n)
         self._rate_sl = slice(1 + self.n, 1 + 2 * self.n)
         self._always_active = not np.any(self.start_times > 0.0)
+        # Per-column bounds for clamp(): [q, g, R] -> [0, inf),
+        # unbounded, [MIN_RATE, line rate].
+        n = self.n
+        self._lower = np.concatenate(
+            [[0.0], np.full(n, -np.inf), np.full(n, MIN_RATE)])
+        self._upper = np.concatenate(
+            [[np.inf], np.full(n, np.inf),
+             np.full(n, float(self.line_rate))])
 
     # -- state vector layout -------------------------------------------------
 
@@ -148,8 +159,10 @@ class TimelyFluidModel(FluidModel):
 
     def update_intervals(self, rates: np.ndarray) -> np.ndarray:
         """Eq. 23: ``tau*_i = max(Seg / R_i, D_minRTT)`` per flow."""
-        rates = np.maximum(rates, MIN_RATE)
-        return np.maximum(self.params.segment / rates, self.params.min_rtt)
+        tau_star = np.maximum(rates, MIN_RATE)
+        np.divide(self.params.segment, tau_star, out=tau_star)
+        np.maximum(tau_star, self.params.min_rtt, out=tau_star)
+        return tau_star
 
     def feedback_delay(self, queue: float, t: float) -> float:
         """Eq. 24: ``tau' = q/C + MTU/C + D_prop`` plus any jitter."""
@@ -186,8 +199,11 @@ class TimelyFluidModel(FluidModel):
 
     def derivatives(self, t: float, state: np.ndarray,
                     history: UniformHistory) -> np.ndarray:
+        # As in DCQCNFluidModel.derivatives: terms are built in place
+        # with each element's operation order kept (bit-identical to
+        # the direct transcription of Eqs. 20-24).
         p = self.params
-        queue = state[self.queue_index]
+        queue = state.item(self.queue_index)
         gradients = state[self._gradient_sl]
         rates = state[self._rate_sl]
 
@@ -200,37 +216,37 @@ class TimelyFluidModel(FluidModel):
         # flows, and cannot go negative.
         if self._always_active:
             active = None
-            dq = float(np.sum(rates)) - p.capacity
+            dq = float(_add_reduce(rates)) - p.capacity
         else:
             active = self.active_flows(t)
-            dq = float(np.sum(rates[active])) - p.capacity
+            dq = float(_add_reduce(rates[active])) - p.capacity
         if queue <= 0.0 and dq < 0.0:
             dq = 0.0
+        out = np.empty_like(state)
+        out[self.queue_index] = dq
 
         # Eq. 22: EWMA'd normalized difference of two successive
         # (delayed) queue observations, one update interval apart.
         base = t - tau_fb
-        older = np.array([component(base - tau_star[i], 0)
-                          for i in range(self.n)])
-        normalized_diff = (delayed_queue - older) / (p.capacity * p.min_rtt)
-        dg = (p.ewma_alpha / tau_star) * (normalized_diff - gradients)
+        older = np.array([component(base - interval, 0)
+                          for interval in tau_star.tolist()])
+        dg = out[self._gradient_sl]
+        np.subtract(delayed_queue, older, out=dg)
+        dg /= p.capacity * p.min_rtt
+        dg -= gradients
+        dg *= p.ewma_alpha / tau_star
 
-        dr = self.rate_derivative(delayed_queue, gradients, rates, tau_star)
-
-        out = np.empty_like(state)
-        out[self.queue_index] = dq
-        if active is None:
-            out[self._gradient_sl] = dg
-            out[self._rate_sl] = dr
-        else:
-            out[self._gradient_sl] = np.where(active, dg, 0.0)
-            out[self._rate_sl] = np.where(active, dr, 0.0)
+        out[self._rate_sl] = self.rate_derivative(
+            delayed_queue, gradients, rates, tau_star)
+        if active is not None:
+            # Flows that have not started yet keep their state frozen.
+            out[1:1 + 2 * self.n].reshape(2, self.n)[:, ~active] = 0.0
         return out
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
-        state[self.queue_index] = max(state[self.queue_index], 0.0)
-        np.clip(state[self.rate_slice()], MIN_RATE, self.line_rate,
-                out=state[self.rate_slice()])
+        # Bound first, as in DCQCNFluidModel.clamp.
+        np.maximum(self._lower, state, out=state)
+        np.minimum(self._upper, state, out=state)
         return state
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.fluid.base import FluidModel
 from repro.core.params import (DCQCNParams, PatchedTimelyParams,
                                TimelyParams)
 
@@ -57,3 +58,42 @@ def write_log():
         return directory
 
     return write
+
+
+class _ReferenceRHS(FluidModel):
+    """A fluid model driven by a test-side right-hand side and clamp.
+
+    ``derivatives(model, t, state, history)`` and ``clamp(model,
+    state)`` are plain functions -- a direct transcription of the
+    paper's equations -- evaluated on ``model``'s parameters, initial
+    state and labels.
+    """
+
+    def __init__(self, model, derivatives, clamp):
+        self.model = model
+        self._derivatives = derivatives
+        self._clamp = clamp
+
+    def initial_state(self):
+        return self.model.initial_state()
+
+    def state_labels(self):
+        return self.model.state_labels()
+
+    def derivatives(self, t, state, history):
+        return self._derivatives(self.model, t, state, history)
+
+    def clamp(self, state):
+        return self._clamp(self.model, state)
+
+
+@pytest.fixture
+def reference_rhs():
+    """Wrapper that integrates a model through a reference RHS.
+
+    ``reference_rhs(model, derivatives, clamp)`` returns a
+    :class:`~repro.core.fluid.base.FluidModel` with ``model``'s state
+    layout whose right-hand side and clamp are the given functions,
+    so ``dde.integrate`` of it and of ``model`` can be compared.
+    """
+    return _ReferenceRHS

@@ -1,5 +1,7 @@
 """DCQCN fluid model: event-rate algebra, dynamics, convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import (DCQCNFluidModel, MIN_RATE,
                                     qcn_event_rates, survival_exponent)
 from repro.core.fluid.history import UniformHistory
-from repro.core.params import DCQCNParams
+from repro.core.fluid.jitter import JitterProcess
+from repro.core.fluid.pi import DCQCNPIFluidModel
+from repro.core.params import DCQCNParams, PIParams
 
 
 class TestSurvivalExponent:
@@ -226,3 +230,296 @@ class TestConvergence:
             DCQCNFluidModel(params, marking_delay=units.us(40)),
             0.05, dt=2e-6, record_stride=20)
         assert ingress.tail_std("q", 0.01) > egress.tail_std("q", 0.01)
+
+
+class TestEventRatesWarningFree:
+    """``qcn_event_rates`` silences exactly the overflow it relies on.
+
+    The fixed point and the margin code share it with the fluid RHS,
+    so a warning here would leak into all three.
+    """
+
+    @pytest.mark.parametrize("p", [0.0, 1e-15, 0.05, 1.0 - 1e-13])
+    def test_no_runtime_warning(self, dcqcn_params, p):
+        rates = np.array([0.5, MIN_RATE, 1e3, 1e6, dcqcn_params.capacity])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            events = qcn_event_rates(p, rates, dcqcn_params)
+        for field in events:
+            assert np.all(np.isfinite(field))
+
+
+# -- bit-exact reference ------------------------------------------------------
+#
+# Eqs. 3-7 and the Eq. 12 event rates written out directly, one numpy
+# expression per term.  The model evaluates the same per-element
+# operations with fewer numpy calls, so it must agree bit for bit in
+# every regime of the event-rate algebra.  Both sides run on the same
+# machine, so the comparison holds at any SIMD level.
+
+_P_CEIL = 1.0 - 1e-12
+
+
+def ref_survival(p, count):
+    if p <= 0.0:
+        return np.ones_like(np.asarray(count, dtype=float))
+    p = min(p, _P_CEIL)
+    return np.exp(np.asarray(count, dtype=float) * np.log1p(-p))
+
+
+def ref_event_rate(p, rate, window_packets, zero_p_rate):
+    if p <= 0.0:
+        return np.asarray(zero_p_rate, dtype=float).copy()
+    p = min(p, _P_CEIL)
+    exponent = -np.asarray(window_packets, dtype=float) * np.log1p(-p)
+    out = np.empty_like(exponent)
+    tiny = exponent < 1e-12
+    with np.errstate(over="ignore"):
+        denominator = np.expm1(exponent[~tiny])
+        out[~tiny] = p * np.asarray(rate, dtype=float)[~tiny] / denominator
+    out[tiny] = np.asarray(zero_p_rate, dtype=float)[tiny]
+    return out
+
+
+def ref_event_rates(p, delayed_rate, params):
+    rate = np.maximum(np.asarray(delayed_rate, dtype=float), MIN_RATE)
+    f_steps = float(params.fast_recovery_steps)
+    mark_fraction = -np.expm1(
+        params.tau * rate * np.log1p(-min(max(p, 0.0), _P_CEIL))
+    ) if p > 0.0 else np.zeros_like(rate)
+    byte_window = np.full_like(rate, params.byte_counter)
+    byte_rate = ref_event_rate(p, rate, byte_window,
+                               rate / params.byte_counter)
+    byte_ai_rate = byte_rate * ref_survival(
+        p, f_steps * params.byte_counter)
+    timer_window = params.timer * rate
+    timer_rate = ref_event_rate(p, rate, timer_window,
+                                np.full_like(rate, 1.0 / params.timer))
+    timer_ai_rate = timer_rate * ref_survival(
+        p, f_steps * params.timer * rate)
+    return (mark_fraction, byte_rate, byte_ai_rate, timer_rate,
+            timer_ai_rate)
+
+
+def ref_marking_probability(model, t, history):
+    if isinstance(model, DCQCNPIFluidModel):
+        lag = model.params.tau_star + model.feedback_jitter(t)
+        delayed_p = history(t - lag)[model.p_mark_index]
+        return float(np.clip(delayed_p, model.pi.p_min, model.pi.p_max))
+    lag = (model.params.tau_star + model.marking_delay
+           + model.feedback_jitter(t))
+    delayed_queue = float(history(t - lag)[0])
+    red = model.params.red
+    if model.extend_red:
+        return min(max((delayed_queue - red.kmin) * red.slope, 0.0), 1.0)
+    return red.marking_probability(delayed_queue)
+
+
+def ref_dcqcn_derivatives(model, t, state, history):
+    """Eqs. 4-7 for the ``[q, alpha, R_T, R_C]`` block of ``state``."""
+    p = model.params
+    n = model.n
+    queue = state[0]
+    alpha = state[1:1 + n]
+    rt = state[1 + n:1 + 2 * n]
+    rc = state[1 + 2 * n:1 + 3 * n]
+
+    mark_p = ref_marking_probability(model, t, history)
+    delayed_rc = history(t - p.tau_star - model.feedback_jitter(t))[
+        1 + 2 * n:1 + 3 * n]
+    delayed_rc = np.maximum(delayed_rc, MIN_RATE)
+    mark_fraction, byte_rate, byte_ai_rate, timer_rate, timer_ai_rate = \
+        ref_event_rates(mark_p, delayed_rc, p)
+
+    active = t >= model.start_times
+    dq = float(np.sum(rc[active])) - p.capacity
+    if queue <= 0.0 and dq < 0.0:
+        dq = 0.0
+    alpha_target = -np.expm1(
+        p.tau_prime * delayed_rc * np.log1p(-min(mark_p, _P_CEIL))
+    ) if mark_p > 0.0 else np.zeros(n)
+    dalpha = (p.g / p.tau_prime) * (alpha_target - alpha)
+    drt = (-(rt - rc) / p.tau * mark_fraction
+           + p.rate_ai * (byte_ai_rate + timer_ai_rate))
+    drc = (-(rc * alpha) / (2.0 * p.tau) * mark_fraction
+           + (rt - rc) / 2.0 * (byte_rate + timer_rate))
+
+    out = np.empty_like(state)
+    out[0] = dq
+    out[1:1 + n] = np.where(active, dalpha, 0.0)
+    out[1 + n:1 + 2 * n] = np.where(active, drt, 0.0)
+    out[1 + 2 * n:1 + 3 * n] = np.where(active, drc, 0.0)
+    return out
+
+
+def ref_derivatives(model, t, state, history):
+    if not isinstance(model, DCQCNPIFluidModel):
+        return ref_dcqcn_derivatives(model, t, state, history)
+    # Eq. 32 marker riding on the DCQCN block.
+    pi = model.pi
+    base = ref_dcqcn_derivatives(model, t, state[:model.p_mark_index],
+                                 history)
+    dq = base[0]
+    error = (state[0] - pi.q_ref) / pi.q_ref
+    dp = pi.k1 * dq / pi.q_ref + pi.k2 * error
+    p_mark = state[model.p_mark_index]
+    if (p_mark <= pi.p_min and dp < 0) or (p_mark >= pi.p_max and dp > 0):
+        dp = 0.0
+    return np.append(base, dp)
+
+
+def ref_clamp(model, state):
+    n = model.n
+    state[0] = max(state[0], 0.0)
+    np.clip(state[1:1 + n], 0.0, 1.0, out=state[1:1 + n])
+    np.clip(state[1 + n:1 + 2 * n], MIN_RATE, model.line_rate,
+            out=state[1 + n:1 + 2 * n])
+    np.clip(state[1 + 2 * n:1 + 3 * n], MIN_RATE, model.line_rate,
+            out=state[1 + 2 * n:1 + 3 * n])
+    if isinstance(model, DCQCNPIFluidModel):
+        i = model.p_mark_index
+        state[i] = float(np.clip(state[i], model.pi.p_min, model.pi.p_max))
+    return state
+
+
+def _queue_for(params, p):
+    """Queue depth whose physical-RED marking probability is ``p``."""
+    red = params.red
+    return red.kmin + p / red.pmax * (red.kmax - red.kmin)
+
+
+def _spread_state(model, queue):
+    """A state with distinct per-flow values, rates MIN_RATE..line.
+
+    With seed 2 the ten R_C values sum differently left to right than
+    numpy's pairwise ``add.reduce`` does, so the single-call tests also
+    pin the summation order of Eq. 4.
+    """
+    n = model.n
+    state = model.initial_state()
+    state[0] = queue
+    state[1:1 + n] = np.linspace(0.0, 1.0, n)
+    state[1 + n:1 + 2 * n] = np.geomspace(MIN_RATE, model.line_rate, n)
+    state[1 + 2 * n:1 + 3 * n] = np.random.default_rng(2).uniform(
+        MIN_RATE, model.line_rate, n)
+    return state
+
+
+def _constant_history(state, rows=400):
+    history = UniformHistory(0.0, 1e-6, state, capacity=rows)
+    for _ in range(rows - 1):
+        history.append(state)
+    return history
+
+
+class TestBitExactReference:
+    """The model equals the direct transcription above, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.0, 1e-15, 1e-14, 4e-3, 0.05, 0.2,
+                                   1.0 - 1e-13, 1.0])
+    def test_event_rates(self, dcqcn_ten_flows, p):
+        rates = np.array([0.5, MIN_RATE, 10.0, 1e3, 1e5, 1e6, 5e6,
+                          dcqcn_ten_flows.capacity])
+        got = qcn_event_rates(p, rates, dcqcn_ten_flows)
+        want = ref_event_rates(p, rates, dcqcn_ten_flows)
+        for field, expected in zip(got, want):
+            assert np.array_equal(field, expected)
+        # Fixed point and margin code pass one-flow arrays.
+        for i in range(rates.size):
+            one = qcn_event_rates(p, rates[i:i + 1], dcqcn_ten_flows)
+            assert [f[0] for f in one] == [f[i] for f in want]
+
+    def test_timer_limit_regime_is_mixed_at_1e_14(self, dcqcn_ten_flows):
+        # Slow flows take the p -> 0 timer limit 1/T, fast ones do not.
+        rates = np.array([MIN_RATE, 1e3, 1e7])
+        timer_rate = qcn_event_rates(1e-14, rates,
+                                     dcqcn_ten_flows).timer_rate
+        limit = 1.0 / dcqcn_ten_flows.timer
+        assert timer_rate[0] == limit and timer_rate[2] != limit
+
+    @pytest.mark.parametrize("regime", [
+        "p0", "p1e-15", "byte_overflow", "red_cliff", "staggered",
+        "jitter", "pi"])
+    def test_single_derivatives(self, regime):
+        params = DCQCNParams.paper_default(num_flows=10, tau_star_us=85.0)
+        kwargs = {}
+        queue = _queue_for(params, 4e-3)
+        if regime == "p0":
+            queue = 0.5 * params.red.kmin
+        elif regime == "p1e-15":
+            queue = _queue_for(params, 1e-15)
+        elif regime == "byte_overflow":
+            # expm1 of the byte-counter exponent overflows past ~709.8.
+            assert params.byte_counter * -np.log1p(-0.2) > 710.0
+            kwargs["extend_red"] = True
+            queue = _queue_for(params, 0.2)
+        elif regime == "red_cliff":
+            queue = 2.0 * params.red.kmax
+        elif regime == "staggered":
+            kwargs["start_times"] = np.linspace(0.0, 4e-4, params.num_flows)
+        elif regime == "jitter":
+            kwargs["feedback_jitter"] = JitterProcess(100e-6, seed=4)
+        if regime == "pi":
+            model = DCQCNPIFluidModel(params, PIParams.for_dcqcn(100.0))
+            state = _spread_state(model, queue)
+            state[model.p_mark_index] = 0.3
+        else:
+            model = DCQCNFluidModel(params, **kwargs)
+            state = _spread_state(model, queue)
+        rc = state[1 + 2 * model.n:1 + 3 * model.n]
+        assert float(np.add.reduce(rc)) != sum(rc.tolist())
+        history = _constant_history(state)
+        for t in (0.0, 1.37e-4, 2.5037e-4, 3.99e-4):
+            mark_p = model.marking_probability(t, history)
+            if regime == "p0":
+                assert mark_p == 0.0
+            elif regime == "p1e-15":
+                assert 0.0 < mark_p < 1e-13
+            elif regime == "red_cliff":
+                assert mark_p == 1.0
+            before = state.copy()
+            got = model.derivatives(t, state, history)
+            assert np.array_equal(state, before)
+            assert np.array_equal(got, ref_derivatives(model, t, state,
+                                                       history))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: DCQCNFluidModel(
+            DCQCNParams.paper_default(num_flows=10, tau_star_us=85.0),
+            extend_red=True), id="smooth_red_n10"),
+        pytest.param(lambda: DCQCNFluidModel(
+            DCQCNParams.paper_default(num_flows=2, tau_star_us=4.0)),
+            id="physical_red_n2"),
+        pytest.param(lambda: DCQCNFluidModel(
+            DCQCNParams.paper_default(num_flows=3, tau_star_us=50.0),
+            start_times=[0.0, 5e-4, 1e-3], marking_delay=5e-6),
+            id="staggered_n3"),
+        pytest.param(lambda: DCQCNFluidModel(
+            DCQCNParams.paper_default(num_flows=2, tau_star_us=20.0),
+            feedback_jitter=JitterProcess(100e-6, seed=3)),
+            id="jitter_n2"),
+        pytest.param(lambda: DCQCNPIFluidModel(
+            DCQCNParams.paper_default(num_flows=2),
+            PIParams.for_dcqcn(100.0)), id="pi_n2"),
+    ])
+    def test_integrate_traces(self, reference_rhs, make):
+        got = dde.integrate(make(), 2e-3, dt=1e-6)
+        want = dde.integrate(reference_rhs(make(), ref_derivatives,
+                                           ref_clamp), 2e-3, dt=1e-6)
+        assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("pi", [False, True])
+    def test_clamp(self, pi):
+        params = DCQCNParams.paper_default(num_flows=4)
+        rng = np.random.default_rng(7)
+        specials = np.array([-1e9, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e12,
+                             np.inf, -np.inf, np.nan])
+        if pi:
+            model = DCQCNPIFluidModel(params, PIParams.for_dcqcn(100.0))
+        else:
+            model = DCQCNFluidModel(params)
+        for _ in range(200):
+            state = rng.choice(specials, len(model.state_labels()))
+            got = model.clamp(state.copy())
+            want = ref_clamp(model, state.copy())
+            assert np.array_equal(got, want, equal_nan=True)
