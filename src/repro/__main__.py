@@ -7,7 +7,7 @@ Usage::
     python -m repro run fig04 fig20      # several
     python -m repro run all              # everything (minutes!)
     python -m repro run fig14 --workers 4 --cache
-    python -m repro run fig14 --workers 2 --resume --cell-timeout 300
+    python -m repro run fig14 --workers 2 --cache --cell-timeout 300
     python -m repro run fig04 --telemetry obs/   # metrics + run log
     python -m repro run ext_incast_pfc --telemetry obs/ --forensics
     python -m repro explain obs/ext_incast_pfc-*.jsonl --worst 3
@@ -38,14 +38,16 @@ one ``flow`` event per flow; ``explain`` renders those attributions
 with their causal chains (which switch marked the flow, which pause
 storm throttled it).
 
-``--resume`` journals every completed sweep cell so a crashed or
-interrupted run picks up where it stopped, bit-identical to an
-uninterrupted one; ``--cell-timeout``/``--cell-retries`` bound how
-long a single cell may hang (parallel sweeps only) and how often it
-is retried before being quarantined.  A quarantined cell leaves a
-crash capsule that ``replay`` re-executes serially (optionally under
-``--telemetry``) to reproduce the original failure for debugging
-(see :mod:`repro.perf.resilience`).
+``--cache`` is also how a crashed or interrupted sweep resumes: each
+cell is stored as it finishes, so rerunning with the same cache
+recomputes only the missing cells, bit-identical to an uninterrupted
+run.  ``--cell-timeout`` bounds how long a single cell may run
+(parallel sweeps only) and quarantines, instead of aborting on, a
+cell that raises or hangs; cells are deterministic, so a failed cell
+is not retried.  A quarantined cell leaves a crash capsule (under
+``<cache dir>/capsules``) that ``replay`` re-executes serially
+(optionally under ``--telemetry``) to reproduce the original failure
+for debugging (see :mod:`repro.perf.resilience`).
 
 ``run --profile`` samples the engine hot loops from a sidecar thread
 (:mod:`repro.obs.profile`) and prints where the wall time went.
@@ -98,20 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fsync every run-log event (promptest "
                           "'repro watch' tail; costs a syscall per "
                           "event)")
-    run.add_argument("--resume", action="store_true",
-                     help="journal completed sweep cells (beside the "
-                          "result cache) and skip cells already "
-                          "journaled by an earlier, interrupted run")
     run.add_argument("--cell-timeout", type=float, default=None,
                      metavar="S",
-                     help="per-cell wall-clock budget in seconds; a "
-                          "hung cell's worker is killed and the cell "
-                          "retried (parallel sweeps only)")
-    run.add_argument("--cell-retries", type=int, default=None,
-                     metavar="N",
-                     help="retries before a failing cell is "
-                          "quarantined as a CellFailure with a crash "
-                          "capsule (default 1 when resilience is on)")
+                     help="per-cell wall-clock budget in seconds "
+                          "(parallel sweeps only); a cell that raises "
+                          "or outlives it is quarantined as a "
+                          "CellFailure with a crash capsule instead "
+                          "of aborting the run")
     report = sub.add_parser(
         "report", help="render telemetry run logs as dashboards")
     report.add_argument("runlog",
@@ -173,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "to reproduce its failure")
     replay.add_argument("capsule",
                         help="a *.capsule.json file written when a "
-                             "sweep cell exhausted its retries")
+                             "sweep cell was quarantined")
     replay.add_argument("--telemetry", metavar="DIR", default=None,
                         help="run the replay under full telemetry/"
                              "health, recording into DIR")
@@ -241,34 +236,27 @@ def _print_cache_stats(name: str, cache, baseline: dict) -> dict:
     return snapshot
 
 
-def _build_resilience(resume: bool,
-                      cell_timeout: "float | None",
-                      cell_retries: "int | None",
+def _build_resilience(cell_timeout: "float | None",
                       cache_dir: "str | None"):
-    """Translate the resilience CLI flags into a policy (or None).
+    """Translate ``--cell-timeout`` into a policy (or None).
 
-    The journal lives beside the result cache so ``--cache-dir`` (or
-    ``REPRO_CACHE_DIR``) relocates both together.
+    Crash capsules live beside the result cache, so ``--cache-dir``
+    (or ``REPRO_CACHE_DIR``) relocates both together.
     """
-    if not resume and cell_timeout is None and cell_retries is None:
+    if cell_timeout is None:
         return None
     from pathlib import Path
 
-    from repro.perf import ResiliencePolicy, default_journal_dir
-    journal_dir = None
-    if resume:
-        journal_dir = (Path(cache_dir) / "journals" if cache_dir
-                       else default_journal_dir())
+    from repro.perf import ResiliencePolicy
     return ResiliencePolicy(
         cell_timeout=cell_timeout,
-        max_retries=1 if cell_retries is None else cell_retries,
-        journal_dir=journal_dir)
+        capsule_dir=Path(cache_dir) / "capsules" if cache_dir
+        else None)
 
 
 def _print_failures(name: str, failures) -> None:
     """Summarize quarantined cells and where their capsules went."""
-    print(f"[{name}: {len(failures)} cell(s) quarantined after "
-          f"exhausting retries]")
+    print(f"[{name}: {len(failures)} cell(s) quarantined]")
     for failure in failures:
         print(f"  cell[{failure.index}] {failure.kind}: "
               f"{failure.error_type}: {failure.error_message} "
@@ -285,9 +273,7 @@ def run_experiments(names: List[str],
                     cache_dir: "str | None" = None,
                     telemetry_dir: "str | None" = None,
                     telemetry_fsync: bool = False,
-                    resume: bool = False,
                     cell_timeout: Optional[float] = None,
-                    cell_retries: Optional[int] = None,
                     profile: bool = False,
                     forensics: bool = False) -> int:
     if forensics and telemetry_dir is None:
@@ -303,13 +289,19 @@ def run_experiments(names: List[str],
         print("use 'python -m repro list' to see what exists",
               file=sys.stderr)
         return 2
+    if cell_timeout is not None and not cell_timeout > 0:
+        print(f"--cell-timeout must be a positive number of seconds, "
+              f"got {cell_timeout:g}", file=sys.stderr)
+        return 2
     cache = None
     cache_baseline: dict = {}
     if use_cache or cache_dir is not None:
         from repro.perf import ResultCache, default_cache_dir
         cache = ResultCache(root=cache_dir or default_cache_dir())
-    resilience = _build_resilience(resume, cell_timeout, cell_retries,
-                                   cache_dir)
+        # The cache is what survives a crash; a writer killed
+        # mid-``put`` leaks its temp file, so sweep those up here.
+        cache.reap_stale_tmp()
+    resilience = _build_resilience(cell_timeout, cache_dir)
     quarantined = 0
     for name in names:
         experiment = EXPERIMENTS[name]
@@ -598,9 +590,7 @@ def main(argv: "List[str] | None" = None) -> int:
                            cache_dir=args.cache_dir,
                            telemetry_dir=args.telemetry,
                            telemetry_fsync=args.telemetry_fsync,
-                           resume=args.resume,
                            cell_timeout=args.cell_timeout,
-                           cell_retries=args.cell_retries,
                            profile=args.profile,
                            forensics=args.forensics)
 

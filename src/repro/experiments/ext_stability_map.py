@@ -71,8 +71,8 @@ def run(flow_counts: Sequence[int] = DEFAULT_FLOWS,
     """Compute the margin grid with the analytic linearization.
 
     ``workers`` fans the per-flow-count rows over processes;
-    ``cache`` memoizes each row on disk; ``resilience`` adds
-    timeouts, retries, quarantine and crash-surviving resume (see
+    ``cache`` memoizes each row on disk (and so resumes an
+    interrupted run); ``resilience`` adds timeouts and quarantine (see
     :mod:`repro.perf`).  Results are identical to the serial,
     uncached, uninterrupted computation.
     """

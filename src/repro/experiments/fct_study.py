@@ -126,10 +126,10 @@ def run_load_sweep(loads: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
     deterministically seeded, so they fan out over ``workers``
     processes (and memoize through ``cache``) with results identical
     to the serial nested loop.  ``resilience`` adds per-cell
-    timeouts/retries, quarantine, and the crash-surviving journal
-    behind ``repro run --resume`` -- this is the longest sweep in the
-    reproduction, and an interrupted run resumes without recomputing
-    finished (protocol, load) cells.
+    timeouts and quarantine.  This is the longest sweep in the
+    reproduction: ``cache`` stores each (protocol, load) cell as it
+    finishes, so an interrupted run resumed with the same cache
+    recomputes only the unfinished cells.
     """
     runner = SweepRunner(workers=workers, cache=cache,
                          experiment_id="fct_study",

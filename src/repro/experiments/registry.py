@@ -64,8 +64,8 @@ from repro.experiments import (ablations,
 #: Keyword arguments every registered ``run`` accepts uniformly.
 #: ``resilience`` (a :class:`~repro.perf.resilience.ResiliencePolicy`)
 #: rides along with the perf kwargs: sweep-backed experiments thread
-#: it into their :class:`~repro.perf.SweepRunner` for timeouts,
-#: retries, quarantine and ``--resume`` journaling; the rest drop it.
+#: it into their :class:`~repro.perf.SweepRunner` for timeouts and
+#: quarantine; the rest drop it.
 PERF_KWARGS = ("workers", "cache", "resilience")
 
 #: Uniform observability kwarg, handled by the registry wrapper

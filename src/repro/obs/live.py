@@ -3,8 +3,8 @@
 ``python -m repro watch obs/`` follows the newest (or a named) run
 log while the experiment writes it from another process, showing run
 identity, the latest metrics snapshot, health findings as they fire,
-sweep failures (quarantined cells, retries, timeouts, pool
-respawns), fault events, the slowest forensics-attributed flows
+sweep failures (quarantined cells, re-dispatches after a lost
+worker, timeouts, pool respawns), fault events, the slowest forensics-attributed flows
 (``--forensics`` runs), and finally the run verdict.  Three pieces:
 
 :class:`RunLogTailer`

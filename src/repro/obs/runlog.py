@@ -36,11 +36,15 @@ Event types:
     event of a run is the per-run verdict
     (``detector="health.verdict"`` with a ``verdict`` field).
 ``sweep``
-    A sweep-runner resilience transition (``event`` one of ``resume``,
-    ``cell_retry``, ``cell_timeout``, ``cell_quarantined``,
-    ``pool_respawn``, ``pool_degraded``, ``interrupted``; see
+    A sweep-runner resilience transition (``event`` one of
+    ``cell_retry`` -- a re-dispatch after a lost worker --,
+    ``cell_timeout``, ``cell_quarantined``, ``pool_respawn``,
+    ``serial_fallback``, ``interrupted``; see
     :mod:`repro.perf.sweep`), with event-specific context such as the
-    cell index and error type.
+    cell index and error type.  ``resume`` and ``pool_degraded`` are
+    legacy and read-only: the sweep journal and pool degradation that
+    wrote them have been removed, and old logs holding them still
+    validate.
 ``retry``
     A component retried an operation after a recoverable failure
     (``component``, e.g. ``fluid.dde`` on a halved-step integration
@@ -207,8 +211,8 @@ class RunLog:
         return self.emit("fault", event=event, **fields)
 
     def sweep(self, event: str, **fields: Any) -> dict:
-        """Record a sweep-runner resilience transition (retry,
-        timeout, quarantine, pool respawn/degrade, resume)."""
+        """Record a sweep-runner resilience transition (re-dispatch,
+        timeout, quarantine, pool respawn, interruption)."""
         return self.emit("sweep", event=event, **fields)
 
     def retry(self, component: str, **fields: Any) -> dict:

@@ -12,11 +12,12 @@ machine; this package runs them there:
   the package sources;
 * :mod:`repro.perf.resilience` makes long sweeps survivable:
   :class:`~repro.perf.resilience.ResiliencePolicy` adds per-cell
-  timeouts, bounded retries with backoff and poison-cell quarantine
-  (:class:`~repro.perf.resilience.CellFailure`), the
-  :class:`~repro.perf.resilience.SweepJournal` gives crash-surviving
-  ``--resume``, and :class:`~repro.perf.resilience.CrashCapsule` +
-  ``repro replay`` reproduce terminal cell failures deterministically.
+  timeouts and quarantines a failing cell on its first failure
+  (:class:`~repro.perf.resilience.CellFailure`), and
+  :class:`~repro.perf.resilience.CrashCapsule` + ``repro replay``
+  reproduce a quarantined cell deterministically.  The result cache
+  is what resumes an interrupted sweep: cells are stored as they
+  finish, so a rerun with the same cache recomputes only the rest.
 
 Speed is measured end to end by ``e2ebench/`` at the repository root
 (see ``docs/PERFORMANCE.md``), not by micro-benchmarks in this
@@ -28,10 +29,8 @@ from repro.perf.cache import (CacheStats, ResultCache, canonicalize,
                               params_key)
 from repro.perf.resilience import (CellFailure, CrashCapsule,
                                    ReplayResult, ResiliencePolicy,
-                                   SweepJournal, collect_failures,
-                                   default_capsule_dir,
-                                   default_journal_dir, is_failure,
-                                   journal_for, process_shard,
+                                   collect_failures,
+                                   default_capsule_dir, is_failure,
                                    replay_capsule)
 from repro.perf.sweep import (SweepRunner, derive_seed,
                               effective_cpu_count, resolve_workers)
@@ -43,20 +42,16 @@ __all__ = [
     "ReplayResult",
     "ResiliencePolicy",
     "ResultCache",
-    "SweepJournal",
     "SweepRunner",
     "canonicalize",
     "code_fingerprint",
     "collect_failures",
     "default_cache_dir",
     "default_capsule_dir",
-    "default_journal_dir",
     "derive_seed",
     "effective_cpu_count",
     "is_failure",
-    "journal_for",
     "params_key",
-    "process_shard",
     "replay_capsule",
     "resolve_workers",
 ]

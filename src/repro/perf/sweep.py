@@ -29,19 +29,20 @@ Determinism rules:
 Failure handling (see :mod:`repro.perf.resilience`):
 
 * Pool supervision is always on: a worker that dies (OOM kill,
-  SIGKILL, hard crash) breaks the executor; the runner respawns it,
-  re-dispatches the cells that were in flight, and -- after repeated
-  breakage -- degrades the worker count down to serial execution
-  instead of aborting the sweep.
+  SIGKILL, hard crash) breaks the executor; the runner respawns it and
+  re-dispatches the cells that were in flight.  A cell that is in
+  flight for more than :data:`DEFAULT_POOL_RESPAWNS` breakages is
+  quarantined under a policy and raises without one.
 * Ctrl-C cancels queued cells (``cancel_futures``), terminates the
-  worker processes, flushes the journal, and re-raises -- no orphaned
-  workers, and the journal holds every cell that finished.
+  worker processes and re-raises -- no orphaned workers.  With a
+  cache attached every finished cell is already stored, so rerunning
+  with the same cache resumes the sweep.
 * Attaching a :class:`~repro.perf.resilience.ResiliencePolicy` adds
-  per-cell wall-clock timeouts, bounded retries with exponential
-  backoff, quarantine (a terminally failing cell yields a
-  :class:`~repro.perf.resilience.CellFailure` placeholder plus a
-  crash capsule instead of killing the sweep), and the crash-surviving
-  completed-cell journal behind ``repro run --resume``.
+  per-cell wall-clock timeouts and quarantine: a cell that raises or
+  times out yields a :class:`~repro.perf.resilience.CellFailure`
+  placeholder plus a crash capsule on its first failure instead of
+  killing the sweep.  Cells are deterministic, so a failed cell is
+  never retried.
 
 Worker processes set :data:`WORKER_ENV` so nested sweeps inside a
 worker degrade to serial execution instead of oversubscribing the
@@ -52,6 +53,7 @@ sandboxes), the runner falls back to serial execution with a warning
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import traceback as _traceback
@@ -66,17 +68,17 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
-from repro.perf.cache import ResultCache, params_key
+from repro.perf.cache import (ResultCache, canonicalize,
+                              code_fingerprint, params_key)
 from repro.perf.resilience import (CellFailure, CrashCapsule,
-                                   ResiliencePolicy, SweepJournal,
-                                   capsule_path_for, journal_for)
+                                   ResiliencePolicy, capsule_path_for)
 
 #: Set in sweep worker processes; nested SweepRunners see it and run
 #: serially rather than forking pools of pools.
 WORKER_ENV = "REPRO_SWEEP_WORKER"
 
-#: Pool breakages tolerated per worker-count step when no policy is
-#: attached (supervision is on even for plain runners).
+#: Pool breakages a cell may be in flight for and still be
+#: re-dispatched; one more quarantines it (or raises without a policy).
 DEFAULT_POOL_RESPAWNS = 3
 
 #: Estimated cost to spawn and warm one pool worker process, seconds
@@ -99,8 +101,7 @@ MAX_CHUNK = 64
 
 #: Poll period bounds for the supervision loop, seconds.  The loop
 #: sleeps inside ``concurrent.futures.wait`` between these bounds so
-#: deadlines and backoff expiries are noticed promptly without
-#: spinning.
+#: deadlines are noticed promptly without spinning.
 _MIN_POLL_S = 0.02
 _MAX_POLL_S = 0.25
 
@@ -221,24 +222,13 @@ def _telemetry_tail(limit: int = 15) -> List[dict]:
 class _Pending:
     """Book-keeping for one not-yet-finished cell."""
 
-    __slots__ = ("index", "cell", "key", "failures", "lost",
-                 "not_before", "last_error", "last_traceback",
-                 "last_kind")
+    __slots__ = ("index", "cell", "lost")
 
-    def __init__(self, index: int, cell: Dict[str, Any],
-                 key: Optional[str]):
+    def __init__(self, index: int, cell: Dict[str, Any]):
         self.index = index
         self.cell = cell
-        self.key = key
-        #: Exception/timeout failures (count against max_retries).
-        self.failures = 0
-        #: Worker-lost failures (separate, more forgiving budget --
-        #: a pool breakage kills innocent bystander cells too).
+        #: Pool breakages this cell was in flight for.
         self.lost = 0
-        self.not_before = 0.0  # monotonic time gate for backoff
-        self.last_error: Optional[BaseException] = None
-        self.last_traceback = ""
-        self.last_kind = "exception"
 
 
 class SweepRunner:
@@ -253,17 +243,17 @@ class SweepRunner:
     cache:
         Optional :class:`ResultCache`.  Each cell is keyed by the cell
         function's qualified name plus its kwargs; hits skip execution
-        entirely and only the missing cells are dispatched.
+        entirely and only the missing cells are dispatched.  Each cell
+        is stored as it finishes, so the cache is also what resumes an
+        interrupted sweep.
     experiment_id:
-        Cache/journal namespace (required when ``cache`` is given or
-        the policy enables journaling).
+        Cache namespace (required when ``cache`` is given).
     resilience:
         Optional :class:`~repro.perf.resilience.ResiliencePolicy`.
-        When attached, failing cells are retried with backoff and
-        quarantined as :class:`~repro.perf.resilience.CellFailure`
-        placeholders instead of aborting the sweep, hung cells are
-        timed out, and completed cells are journaled for
-        crash-surviving resume.
+        When attached, a cell that raises, times out or keeps losing
+        its worker is quarantined as a
+        :class:`~repro.perf.resilience.CellFailure` placeholder instead
+        of aborting the sweep.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -273,50 +263,17 @@ class SweepRunner:
         if cache is not None and not experiment_id:
             raise ValueError(
                 "experiment_id is required when a cache is attached")
-        if resilience is not None \
-                and resilience.journal_dir is not None \
-                and not experiment_id:
-            raise ValueError("experiment_id is required when the "
-                             "resilience policy journals completed "
-                             "cells")
         self.workers = resolve_workers(workers)
         self.cache = cache
         self.experiment_id = experiment_id
         self.resilience = resilience
-        self._journal: Optional[SweepJournal] = None
 
-    # -- cache / journal plumbing ------------------------------------------
+    def _label(self, fn: Callable[..., Any]) -> str:
+        return self.experiment_id or getattr(fn, "__name__", "sweep")
 
     def _cell_params(self, fn: Callable[..., Any],
                      cell: Dict[str, Any]) -> Dict[str, Any]:
         return {"fn": fn, "cell": cell}
-
-    @property
-    def journal(self) -> Optional[SweepJournal]:
-        """The completed-cell journal, opened lazily from the policy.
-
-        Appends go to this process's private shard (reads merge all
-        shards), so concurrent journal writers -- two resuming runs
-        sharing a cache dir -- can never interleave torn records in
-        one file.
-        """
-        if self._journal is None and self.resilience is not None \
-                and self.resilience.journal_dir is not None:
-            from repro.perf.resilience import process_shard
-            fingerprint = self.cache.fingerprint \
-                if self.cache is not None else None
-            self._journal = journal_for(self.experiment_id,
-                                        self.resilience.journal_dir,
-                                        fingerprint=fingerprint,
-                                        shard=process_shard())
-        return self._journal
-
-    def _cell_key(self, fn: Callable[..., Any],
-                  cell: Dict[str, Any]) -> str:
-        """One content hash shared by the cache, journal and capsules."""
-        namespace = self.experiment_id or getattr(fn, "__name__",
-                                                  "sweep")
-        return params_key(namespace, self._cell_params(fn, cell))
 
     # -- execution ---------------------------------------------------------
 
@@ -324,25 +281,20 @@ class SweepRunner:
             cells: Sequence[Dict[str, Any]]) -> List[Any]:
         """Evaluate ``fn(**cell)`` for every cell, in input order.
 
-        With a resilience policy attached, slots whose cell failed all
-        retries hold :class:`~repro.perf.resilience.CellFailure`
-        placeholders; filter with
-        :func:`repro.perf.resilience.is_failure` when a sweep is
-        allowed to be partial.
+        With a resilience policy attached, slots whose cell failed hold
+        :class:`~repro.perf.resilience.CellFailure` placeholders;
+        filter with :func:`repro.perf.resilience.is_failure` when a
+        sweep is allowed to be partial.
         """
         cells = list(cells)
-        label = self.experiment_id or getattr(fn, "__name__", "sweep")
-        journal = self.journal
+        label = self._label(fn)
         registry = _metrics.get_registry()
         sweep_started = time.perf_counter()
         with _spans.span(f"sweep:{label}"):
             results: List[Any] = [None] * len(cells)
-            need_keys = self.cache is not None or journal is not None \
-                or self.resilience is not None
             pending: List[_Pending] = []
-            cached = resumed = 0
+            cached = 0
             for index, cell in enumerate(cells):
-                key = self._cell_key(fn, cell) if need_keys else None
                 if self.cache is not None:
                     hit, value = self.cache.get(
                         self.experiment_id,
@@ -351,45 +303,17 @@ class SweepRunner:
                         results[index] = value
                         cached += 1
                         continue
-                if journal is not None:
-                    hit, value = journal.lookup(key)
-                    if hit:
-                        results[index] = value
-                        resumed += 1
-                        # Promote journaled results into the cache so
-                        # both stores converge.
-                        if self.cache is not None:
-                            self.cache.put(
-                                self.experiment_id,
-                                self._cell_params(fn, cell), value)
-                        continue
-                pending.append(_Pending(index, cell, key))
+                pending.append(_Pending(index, cell))
 
             registry.counter("perf.sweep.cells_total").inc(len(cells))
             registry.counter("perf.sweep.cached_cells_total").inc(
                 cached)
-            if resumed:
-                registry.counter(
-                    "perf.sweep.resumed_cells_total").inc(resumed)
-                _sweep_event("resume", experiment=label,
-                             resumed_cells=resumed,
-                             pending_cells=len(pending))
 
             if pending:
-                def finish(entry: _Pending, value: Any,
-                           attempts: int, elapsed: float,
-                           failure: Optional[CellFailure] = None
-                           ) -> None:
-                    results[entry.index] = value if failure is None \
-                        else failure
-                    if failure is not None:
-                        if journal is not None:
-                            journal.record_failure(failure, entry.key)
-                        return
-                    if journal is not None:
-                        journal.record_cell(label, entry.key, value,
-                                            attempts, elapsed)
-                    if self.cache is not None:
+                def finish(entry: _Pending, value: Any) -> None:
+                    results[entry.index] = value
+                    if self.cache is not None \
+                            and not isinstance(value, CellFailure):
                         self.cache.put(
                             self.experiment_id,
                             self._cell_params(fn, entry.cell), value)
@@ -403,17 +327,7 @@ class SweepRunner:
                                  completed_cells=sum(
                                      1 for r in results
                                      if r is not None))
-                    if journal is not None:
-                        journal.flush()
                     raise
-            if journal is not None:
-                # Successful completion: fold per-process shards
-                # back into the base journal so long-lived
-                # experiments don't accumulate one file per run.
-                try:
-                    journal.compact()
-                except Exception:
-                    journal.flush()  # unreadable sibling shard etc.
             # End-of-sweep aggregation point: the sweep's throughput
             # lands in the run log's metrics snapshot.
             sweep_wall = time.perf_counter() - sweep_started
@@ -425,53 +339,58 @@ class SweepRunner:
     # -- shared failure handling -------------------------------------------
 
     def _quarantine(self, fn: Callable[..., Any], entry: _Pending,
-                    finish: Callable[..., None]) -> None:
-        """Turn a terminally failed cell into its placeholder slot."""
-        from repro.perf.cache import canonicalize, code_fingerprint
+                    finish: Callable[[_Pending, Any], None],
+                    kind: str, error: Optional[BaseException] = None,
+                    traceback_text: str = "") -> None:
+        """Turn a failed cell into its placeholder slot and capsule.
 
+        ``error`` is None for a lost worker, which has no exception of
+        its own to surface.
+        """
         policy = self.resilience
-        label = self.experiment_id or getattr(fn, "__name__", "sweep")
+        label = self._label(fn)
         if policy is None:
             # No policy, no quarantine: a plain runner keeps its
             # raise-on-failure contract.  Exceptions re-raise at the
             # call site; the only way here is a repeatedly lost
-            # worker, which has no original exception to surface.
+            # worker.
             raise RuntimeError(
                 f"sweep cell {label}[{entry.index}] lost its worker "
                 f"process {entry.lost} time(s) (OOM kill? hard "
                 f"crash?); attach a ResiliencePolicy to quarantine "
                 f"poison cells instead of aborting")
-        error = entry.last_error
+        if error is not None and not traceback_text:
+            traceback_text = "".join(
+                _traceback.format_exception_only(type(error), error))
+        # A lost worker was counted in ``entry.lost`` already; an
+        # exception or timeout is one more attempt on top.
+        attempts = entry.lost + (error is not None)
         failure = CellFailure(
             experiment_id=label,
             index=entry.index,
             params=canonicalize(entry.cell),
-            kind=entry.last_kind,
+            kind=kind,
             error_type=type(error).__name__ if error is not None
             else "WorkerLost",
             error_message=str(error) if error is not None
             else "worker process died",
-            attempts=entry.failures + entry.lost,
-            traceback=entry.last_traceback)
-        capsule_path = None
-        if policy is not None and policy.write_capsules:
-            fingerprint = self.cache.fingerprint if self.cache \
-                else code_fingerprint()
-            capsule = CrashCapsule.from_failure(
-                fn, entry.cell, failure, entry.key or "",
-                fingerprint, telemetry_tail=_telemetry_tail())
-            target = capsule_path_for(policy.resolved_capsule_dir(),
-                                      label, entry.key or "nokey")
-            try:
-                capsule_path = str(capsule.write(target))
-            except OSError as exc:  # unwritable capsule dir: degrade
-                warnings.warn(f"could not write crash capsule to "
-                              f"{target} ({exc})", RuntimeWarning,
-                              stacklevel=2)
-        if capsule_path is not None:
-            import dataclasses
-            failure = dataclasses.replace(failure,
-                                          capsule_path=capsule_path)
+            attempts=attempts,
+            traceback=traceback_text)
+        cell_key = params_key(label, self._cell_params(fn, entry.cell))
+        fingerprint = self.cache.fingerprint if self.cache \
+            else code_fingerprint()
+        capsule = CrashCapsule.from_failure(
+            fn, entry.cell, failure, cell_key, fingerprint,
+            telemetry_tail=_telemetry_tail())
+        target = capsule_path_for(policy.resolved_capsule_dir(), label,
+                                  cell_key)
+        try:
+            failure = dataclasses.replace(
+                failure, capsule_path=str(capsule.write(target)))
+        except OSError as exc:  # unwritable capsule dir: degrade
+            warnings.warn(f"could not write crash capsule to "
+                          f"{target} ({exc})", RuntimeWarning,
+                          stacklevel=2)
         registry = _metrics.get_registry()
         registry.counter("perf.sweep.quarantined_total").inc()
         _sweep_event("cell_quarantined", experiment=label,
@@ -479,30 +398,14 @@ class SweepRunner:
                      error_type=failure.error_type,
                      error_message=failure.error_message,
                      attempts=failure.attempts,
-                     capsule=capsule_path)
-        finish(entry, None, failure.attempts, 0.0, failure=failure)
-
-    def _record_failure(self, entry: _Pending, exc: BaseException,
-                        kind: str, traceback_text: str = "") -> None:
-        entry.failures += 1
-        entry.last_error = exc
-        entry.last_kind = kind
-        entry.last_traceback = traceback_text or "".join(
-            _traceback.format_exception_only(type(exc), exc))
-
-    def _exhausted(self, entry: _Pending) -> bool:
-        policy = self.resilience
-        max_retries = policy.max_retries if policy is not None else 0
-        respawns = policy.max_pool_respawns if policy is not None \
-            else DEFAULT_POOL_RESPAWNS
-        return entry.failures > max_retries \
-            or entry.lost > respawns + max_retries
+                     capsule=failure.capsule_path)
+        finish(entry, failure)
 
     # -- serial execution --------------------------------------------------
 
     def _execute(self, fn: Callable[..., Any],
                  pending: List[_Pending],
-                 finish: Callable[..., None]) -> None:
+                 finish: Callable[[_Pending, Any], None]) -> None:
         """Probe-based dispatch: serial, pool, or chunked pool.
 
         The first cell always runs in-process and is timed.  If the
@@ -540,9 +443,7 @@ class SweepRunner:
             registry.counter(
                 "perf.sweep.serial_fallbacks_total").inc()
             _sweep_event(
-                "serial_fallback",
-                experiment=self.experiment_id
-                or getattr(fn, "__name__", "sweep"),
+                "serial_fallback", experiment=self._label(fn),
                 probe_s=probe_s, cells=len(remaining),
                 workers=self.workers)
             self._execute_serial(fn, remaining, finish)
@@ -555,49 +456,31 @@ class SweepRunner:
 
     def _execute_serial(self, fn: Callable[..., Any],
                         pending: List[_Pending],
-                        finish: Callable[..., None]) -> None:
-        """In-process execution, with retries when a policy allows.
+                        finish: Callable[[_Pending, Any], None]) -> None:
+        """In-process execution, quarantining failures under a policy.
 
         A running cell cannot be preempted from within its own
         process, so ``cell_timeout`` is not enforced here -- serial
         mode trades hang protection for zero dispatch overhead
         (:meth:`_execute` warns when a policy asks for one).
         """
-        policy = self.resilience
-        label = self.experiment_id or getattr(fn, "__name__", "sweep")
         registry = _metrics.get_registry()
         histogram = registry.histogram("perf.sweep.cell_seconds")
         for entry in pending:
             with _spans.span(f"cell[{entry.index}]"):
-                while True:
-                    started = time.perf_counter()
-                    try:
-                        value = fn(**entry.cell)
-                    except (KeyboardInterrupt, SystemExit):
+                started = time.perf_counter()
+                try:
+                    value = fn(**entry.cell)
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except BaseException as exc:
+                    if self.resilience is None:
                         raise
-                    except BaseException as exc:
-                        if policy is None:
-                            raise
-                        self._record_failure(
-                            entry, exc, "exception",
-                            _traceback.format_exc())
-                        if self._exhausted(entry):
-                            self._quarantine(fn, entry, finish)
-                            break
-                        registry.counter(
-                            "perf.sweep.retries_total").inc()
-                        _sweep_event("cell_retry", experiment=label,
-                                     index=entry.index,
-                                     attempt=entry.failures,
-                                     error_type=type(exc).__name__)
-                        policy.sleep(policy.backoff(entry.failures))
-                    else:
-                        elapsed = time.perf_counter() - started
-                        histogram.observe(elapsed)
-                        finish(entry, value,
-                               entry.failures + entry.lost + 1,
-                               elapsed)
-                        break
+                    self._quarantine(fn, entry, finish, "exception",
+                                     exc, _traceback.format_exc())
+                    continue
+                histogram.observe(time.perf_counter() - started)
+                finish(entry, value)
 
     # -- supervised pool execution -----------------------------------------
 
@@ -631,9 +514,9 @@ class SweepRunner:
 
     def _execute_pool(self, fn: Callable[..., Any],
                       pending: List[_Pending],
-                      finish: Callable[..., None],
+                      finish: Callable[[_Pending, Any], None],
                       chunk: int = 1) -> None:
-        """Supervised fan-out: timeouts, retries, respawn, degrade.
+        """Supervised fan-out: timeouts, quarantine, respawn.
 
         ``chunk`` groups that many cells into one worker round trip
         (outcomes stay per-cell; see :func:`_run_chunk`).  Per-cell
@@ -641,12 +524,10 @@ class SweepRunner:
         armed ``cell_timeout`` forces ``chunk = 1``.
         """
         policy = self.resilience
-        label = self.experiment_id or getattr(fn, "__name__", "sweep")
+        label = self._label(fn)
         registry = _metrics.get_registry()
         histogram = registry.histogram("perf.sweep.cell_seconds")
         timeout = policy.cell_timeout if policy is not None else None
-        max_respawns = policy.max_pool_respawns if policy is not None \
-            else DEFAULT_POOL_RESPAWNS
         if timeout is not None:
             chunk = 1
         chunk = max(int(chunk), 1)
@@ -655,58 +536,48 @@ class SweepRunner:
         inflight: Dict[Any, List[_Pending]] = {}
         submitted_at: Dict[Any, float] = {}
         width = min(self.workers, len(pending))
-        breakages = 0  # at the current worker width
         executor: Optional[ProcessPoolExecutor] = None
         wall_start = time.perf_counter()
         busy = 0.0
         clean_exit = False
         registry.gauge("perf.sweep.workers").set(width)
 
-        def requeue(entry: _Pending, delay: float = 0.0) -> None:
-            entry.not_before = time.monotonic() + delay
-            waiting.append(entry)
+        def fail(entry: _Pending, exc: BaseException,
+                 text: str = "") -> None:
+            if policy is None:
+                raise exc
+            self._quarantine(fn, entry, finish, "exception", exc, text)
 
-        def lose_inflight(kind: str) -> None:
+        def lose_inflight(struck: bool) -> None:
             """The pool died under its in-flight cells; re-dispatch.
 
-            ``kind`` is "worker-lost" for breakage (any in-flight cell
-            may be the killer, so each gets a lost-strike) or
-            "collateral" for a deliberate timeout kill (the timed-out
-            cell already took its strike; bystanders re-dispatch
-            free).
+            ``struck`` is True for breakage: any in-flight cell may be
+            the killer, so each counts a lost worker.  A deliberate
+            timeout kill passes False: the timed-out cell is already
+            quarantined and the bystanders re-dispatch free.
             """
-            for future, group in list(inflight.items()):
+            for group in inflight.values():
                 for entry in group:
-                    if kind == "worker-lost":
+                    if struck:
                         entry.lost += 1
-                        entry.last_kind = "worker-lost"
-                        entry.last_error = None
-                        entry.last_traceback = ""
                         registry.counter(
                             "perf.sweep.worker_lost_total").inc()
-                        if self._exhausted(entry):
-                            self._quarantine(fn, entry, finish)
+                        if entry.lost > DEFAULT_POOL_RESPAWNS:
+                            self._quarantine(fn, entry, finish,
+                                             "worker-lost")
                             continue
-                    requeue(entry)
+                        registry.counter(
+                            "perf.sweep.retries_total").inc()
+                        _sweep_event("cell_retry", experiment=label,
+                                     index=entry.index,
+                                     attempt=entry.lost,
+                                     error_type="WorkerLost")
+                    waiting.append(entry)
             inflight.clear()
             submitted_at.clear()
 
         try:
             while waiting or inflight:
-                if width <= 1:
-                    # Degraded all the way down: drain what's left
-                    # serially (retry/quarantine still apply).
-                    if executor is not None:
-                        self._kill_executor(executor)
-                        executor = None
-                    remaining = sorted(
-                        waiting + [entry for group in inflight.values()
-                                   for entry in group],
-                        key=lambda entry: entry.index)
-                    waiting, inflight = [], {}
-                    self._execute_serial(fn, remaining, finish)
-                    clean_exit = True
-                    return
                 if executor is None:
                     try:
                         executor = ProcessPoolExecutor(
@@ -716,23 +587,18 @@ class SweepRunner:
                             f"process pool unavailable ({error}); "
                             f"sweep falling back to serial execution",
                             RuntimeWarning, stacklevel=2)
-                        width = 1
-                        continue
+                        waiting.sort(key=lambda entry: entry.index)
+                        self._execute_serial(fn, waiting, finish)
+                        waiting = []
+                        clean_exit = True
+                        return
 
-                now = time.monotonic()
-                # Submit ready cells up to pool capacity, ``chunk``
+                # Submit waiting cells up to pool capacity, ``chunk``
                 # cells per future.
                 broken = False
-                while len(inflight) < width:
-                    group: List[_Pending] = []
-                    index = 0
-                    while index < len(waiting) and len(group) < chunk:
-                        if waiting[index].not_before > now:
-                            index += 1
-                            continue
-                        group.append(waiting.pop(index))
-                    if not group:
-                        break
+                while waiting and len(inflight) < width:
+                    group = waiting[:chunk]
+                    del waiting[:chunk]
                     try:
                         future = executor.submit(
                             _run_chunk,
@@ -746,49 +612,18 @@ class SweepRunner:
                     inflight[future] = group
                     submitted_at[future] = time.monotonic()
 
-                if not broken and not inflight:
-                    # Everyone is backing off; sleep until the first
-                    # becomes ready.
-                    gate = min(entry.not_before for entry in waiting)
-                    delay = max(gate - time.monotonic(), 0.0)
-                    if policy is not None:
-                        policy.sleep(delay)
-                    else:  # pragma: no cover - backoff implies policy
-                        time.sleep(delay)
-                    continue
-
                 if not broken:
                     # How long may wait() block without missing a
-                    # deadline or a backoff expiry?
+                    # deadline?
                     poll = _MAX_POLL_S
-                    now = time.monotonic()
                     if timeout is not None:
+                        now = time.monotonic()
                         for future in inflight:
                             deadline = submitted_at[future] + timeout
                             poll = min(poll, deadline - now)
-                    for entry in waiting:
-                        if entry.not_before > now:
-                            poll = min(poll, entry.not_before - now)
                     done, _ = _futures_wait(
                         list(inflight), timeout=max(poll, _MIN_POLL_S),
                         return_when=FIRST_COMPLETED)
-
-                    def fail(entry: _Pending, exc: BaseException,
-                             text: str = "") -> None:
-                        self._record_failure(entry, exc, "exception",
-                                             text)
-                        if self._exhausted(entry):
-                            self._quarantine(fn, entry, finish)
-                        else:
-                            registry.counter(
-                                "perf.sweep.retries_total").inc()
-                            _sweep_event(
-                                "cell_retry", experiment=label,
-                                index=entry.index,
-                                attempt=entry.failures,
-                                error_type=type(exc).__name__)
-                            requeue(entry,
-                                    policy.backoff(entry.failures))
 
                     for future in done:
                         group = inflight.pop(future)
@@ -808,8 +643,6 @@ class SweepRunner:
                             # Transport failure (e.g. unpicklable
                             # return value): every cell in the chunk
                             # shares the exception.
-                            if policy is None:
-                                raise
                             for entry in group:
                                 fail(entry, exc)
                             continue
@@ -818,31 +651,19 @@ class SweepRunner:
                                 _, elapsed, value = outcome
                                 busy += elapsed
                                 histogram.observe(elapsed)
-                                finish(entry, value,
-                                       entry.failures + entry.lost + 1,
-                                       elapsed)
+                                finish(entry, value)
                             else:
                                 _, exc, text = outcome
-                                if policy is None:
-                                    raise exc
                                 fail(entry, exc, text)
 
                 if broken:
-                    breakages += 1
                     registry.counter(
                         "perf.sweep.pool_respawns_total").inc()
                     self._kill_executor(executor)
                     executor = None
-                    lose_inflight("worker-lost")
-                    if breakages > max_respawns:
-                        width = max(1, width // 2)
-                        breakages = 0
-                        registry.gauge(
-                            "perf.sweep.degraded_workers").set(width)
-                        _sweep_event("pool_degraded",
-                                     experiment=label, workers=width)
+                    lose_inflight(struck=True)
                     _sweep_event("pool_respawn", experiment=label,
-                                 workers=width, breakages=breakages)
+                                 workers=width)
                     continue
 
                 # Per-cell wall-clock timeouts: a hung worker cannot
@@ -860,28 +681,23 @@ class SweepRunner:
                             inflight.pop(future)
                             submitted_at.pop(future, None)
                             for entry in group:
-                                exc = TimeoutError(
-                                    f"cell exceeded {timeout:g}s "
-                                    f"wall-clock budget")
-                                self._record_failure(entry, exc,
-                                                     "timeout")
                                 registry.counter(
                                     "perf.sweep.timeouts_total").inc()
                                 _sweep_event(
                                     "cell_timeout", experiment=label,
                                     index=entry.index,
-                                    attempt=entry.failures,
+                                    attempt=entry.lost + 1,
                                     timeout_s=timeout)
-                                if self._exhausted(entry):
-                                    self._quarantine(fn, entry,
-                                                     finish)
-                                else:
-                                    requeue(entry)
+                                self._quarantine(
+                                    fn, entry, finish, "timeout",
+                                    TimeoutError(
+                                        f"cell exceeded {timeout:g}s "
+                                        f"wall-clock budget"))
                         registry.counter(
                             "perf.sweep.pool_respawns_total").inc()
                         self._kill_executor(executor)
                         executor = None
-                        lose_inflight("collateral")
+                        lose_inflight(struck=False)
             clean_exit = True
         finally:
             if executor is not None:
@@ -891,7 +707,6 @@ class SweepRunner:
                     self._kill_executor(executor)
 
         wall = time.perf_counter() - wall_start
-        registry.gauge("perf.sweep.workers").set(width)
         if wall > 0:
             # Fraction of the pool's wall-clock capacity spent inside
             # cell functions; the rest is pickle + dispatch + idle

@@ -1,9 +1,26 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import time
+
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, Experiment
+from repro.perf import SweepRunner
+
+
+def poison_cell(x):
+    if x == 3:
+        raise ValueError(f"poison {x}")
+    return x
+
+
+def poison_sweep(cache=None, resilience=None):
+    """A one-sweep experiment whose cell x == 3 raises."""
+    return SweepRunner(cache=cache, experiment_id="fake",
+                       resilience=resilience).map(
+        poison_cell, [{"x": x} for x in (1, 3)])
 
 
 class TestParser:
@@ -18,6 +35,16 @@ class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("flags", [["--resume"],
+                                       ["--cell-retries", "1"]],
+                             ids=["resume", "cell-retries"])
+    def test_removed_resilience_flags_rejected(self, flags, capsys):
+        # The result cache resumes sweeps and failed cells are not
+        # retried, so neither flag exists any more.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "fig14", *flags])
+        assert exit_info.value.code == 2
 
 
 class TestMain:
@@ -107,6 +134,49 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fake cache:" in out
         assert "hit rate" in out
+
+
+class TestResilienceFlags:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_cell_timeout_is_a_usage_error(self, value, capsys):
+        assert main(["run", "fig03", "--cell-timeout", value]) == 2
+        err = capsys.readouterr().err
+        assert "--cell-timeout must be a positive" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_capsules_follow_cache_dir(self, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "fake", Experiment(
+            "fake", "a sweep with a poison cell", poison_sweep, str))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        cache_dir = tmp_path / "cache"
+        with pytest.warns(RuntimeWarning, match="not enforced"):
+            code = main(["run", "fake", "--cache-dir", str(cache_dir),
+                         "--cell-timeout", "30"])
+        assert code == 1  # a quarantined cell fails the run
+        capsules = list((cache_dir / "capsules").glob("*.capsule.json"))
+        assert len(capsules) == 1
+        assert not (tmp_path / "env").exists()
+        assert f"replay: python -m repro replay {capsules[0]}" \
+            in capsys.readouterr().out
+
+    def test_orphaned_cache_tmp_files_reaped(self, tmp_path, capsys,
+                                             monkeypatch):
+        # A writer SIGKILLed mid-put leaks its temp file; opening the
+        # cache removes ones old enough that no live writer owns them.
+        monkeypatch.setitem(EXPERIMENTS, "fake", Experiment(
+            "fake", "a fake experiment", lambda: [1], str))
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "fct_study").mkdir(parents=True)
+        orphan = cache_dir / "fct_study" / "tmpdead.tmp"
+        orphan.write_bytes(b"half an entry")
+        two_hours_ago = time.time() - 7200
+        os.utime(orphan, (two_hours_ago, two_hours_ago))
+        live = cache_dir / "fct_study" / "tmplive.tmp"
+        live.write_bytes(b"a concurrent writer owns this")
+        assert main(["run", "fake", "--cache-dir", str(cache_dir)]) == 0
+        assert not orphan.exists()
+        assert live.exists()
 
 
 class TestReportCommand:

@@ -2,12 +2,12 @@
 
 Every failure mode the resilience machinery claims to survive is
 induced on purpose here: cells that raise, cells that hang past their
-wall-clock budget, workers that die by SIGKILL, journals truncated
-mid-line by a crash, and runs interrupted and resumed.  The contracts
-under test are the ones ``docs/PERFORMANCE.md`` promises: a poison
-cell costs its own slot (a :class:`CellFailure`) and nothing else, a
-resumed sweep is bit-identical to an uninterrupted one, and a crash
-capsule replays the original failure deterministically.
+wall-clock budget, workers that die by SIGKILL, and runs interrupted
+and resumed through the result cache.  The contracts under test are
+the ones ``docs/PERFORMANCE.md`` promises: a failing cell runs once
+and costs its own slot (a :class:`CellFailure`) and nothing else, a
+sweep resumed from the cache is bit-identical to an uninterrupted one,
+and a crash capsule replays the original failure deterministically.
 """
 
 import json
@@ -22,12 +22,10 @@ import numpy as np
 import pytest
 
 from repro.perf import (CellFailure, CrashCapsule, ResiliencePolicy,
-                        ResultCache, SweepJournal, SweepRunner,
-                        collect_failures, is_failure, journal_for,
-                        replay_capsule)
-from repro.perf.cache import FINGERPRINT_ENV
+                        ResultCache, SweepRunner, collect_failures,
+                        is_failure, replay_capsule)
 from repro.perf.resilience import decode_value, encode_value
-from repro.perf.sweep import WORKER_ENV
+from repro.perf.sweep import DEFAULT_POOL_RESPAWNS, WORKER_ENV
 
 # -- module-level cells (picklable into worker processes) ---------------------
 
@@ -38,7 +36,7 @@ def square(x):
 
 def seeded_draw(seed):
     """A vector result that is a pure function of the seed: any
-    nondeterminism in transport or journaling shows up as inequality."""
+    nondeterminism in transport or caching shows up as inequality."""
     rng = np.random.default_rng(seed)
     return rng.random(8)
 
@@ -51,24 +49,25 @@ def counted_cell(x, counter_dir):
     return x * 10
 
 
+def counted_poison_cell(x, counter_dir):
+    """``counted_cell`` that raises for x == 3."""
+    value = counted_cell(x, counter_dir)
+    if x == 3:
+        raise ValueError(f"poison {x}")
+    return value
+
+
 def poison_cell(x):
     if x == 3:
         raise ValueError(f"poison {x}")
     return x * 10
 
 
-def flaky_cell(x, counter_dir):
-    """Fail the first two attempts for x == 2, then succeed."""
-    attempts = len(list(Path(counter_dir).glob(f"flaky-{x}-*")))
-    Path(counter_dir, f"flaky-{x}-{attempts}").touch()
-    if x == 2 and attempts < 2:
-        raise RuntimeError(f"transient {x} attempt {attempts}")
-    return x + 100
-
-
-def hang_cell(x):
+def hang_cell(x, counter_dir):
     """x == 1 hangs far past any test timeout; the pool must kill it."""
     if x == 1:
+        Path(counter_dir, f"hang-{os.getpid()}-{time.monotonic_ns()}"
+             ).touch()
         time.sleep(300)
     return x * 7
 
@@ -82,10 +81,9 @@ def slow_cell(x):
 def crash_cell(x):
     """x == 2 SIGKILLs its worker -- but only inside a pool worker.
 
-    The guard matters twice over: without it a degraded-to-serial
-    drain would kill the pytest process itself, and the sweep runner's
-    serial fallback is exactly how such a cell is supposed to finally
-    succeed (the parent is not expendable, so it does not crash).
+    The guard keeps the cell harmless if it ever runs in the test
+    process itself (the dispatcher's in-process probe or a serial
+    fallback): the parent is not expendable.
     """
     if x == 2 and os.environ.get(WORKER_ENV):
         os.kill(os.getpid(), signal.SIGKILL)
@@ -98,60 +96,34 @@ def interrupting_cell(x):
     return x
 
 
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Pin the spawn-cost estimate to zero so the probe dispatcher
+    sends even a cheap grid through the pool -- the path under test."""
+    from repro.perf import sweep as sweep_module
+    monkeypatch.setattr(sweep_module, "POOL_SPAWN_COST_S", 0.0)
+
+
 # -- policy -------------------------------------------------------------------
 
 
 class TestResiliencePolicy:
-    def test_backoff_schedule(self):
-        policy = ResiliencePolicy(backoff_base=0.25, backoff_factor=2.0,
-                                  backoff_max=1.0)
-        assert policy.backoff(0) == 0.0
-        assert policy.backoff(1) == 0.25
-        assert policy.backoff(2) == 0.5
-        assert policy.backoff(3) == 1.0  # capped
-        assert policy.backoff(10) == 1.0
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(cell_timeout=0.0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(max_pool_respawns=-1)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="cell_timeout"):
+                ResiliencePolicy(cell_timeout=bad)
+        assert ResiliencePolicy(cell_timeout=0.5).cell_timeout == 0.5
 
 
-# -- retries and quarantine ---------------------------------------------------
+# -- quarantine: a failing cell is never retried ------------------------------
 
 
 class TestRetries:
-    def test_serial_transient_failure_retried(self, tmp_path):
-        slept = []
-        policy = ResiliencePolicy(max_retries=2, backoff_base=0.25,
-                                  write_capsules=False,
-                                  sleep=slept.append)
-        runner = SweepRunner(experiment_id="flaky", resilience=policy)
-        result = runner.map(flaky_cell,
-                            [{"x": i, "counter_dir": str(tmp_path)}
-                             for i in range(4)])
-        assert result == [100, 101, 102, 103]
-        # Two failures before success: backoff(1) then backoff(2).
-        assert slept == [0.25, 0.5]
-        attempts = len(list(tmp_path.glob("flaky-2-*")))
-        assert attempts == 3
-
-    def test_parallel_transient_failure_retried(self, tmp_path):
-        policy = ResiliencePolicy(max_retries=2, backoff_base=0.0,
-                                  write_capsules=False)
-        runner = SweepRunner(workers=2, experiment_id="flaky",
-                             resilience=policy)
-        result = runner.map(flaky_cell,
-                            [{"x": i, "counter_dir": str(tmp_path)}
-                             for i in range(4)])
-        assert result == [100, 101, 102, 103]
+    """Cells are deterministic: a cell that raised would raise again,
+    so it is quarantined on its first failure, never retried."""
 
     def test_quarantine_preserves_other_cells(self, tmp_path):
-        policy = ResiliencePolicy(max_retries=1, backoff_base=0.0,
-                                  capsule_dir=tmp_path / "capsules")
+        policy = ResiliencePolicy(capsule_dir=tmp_path / "capsules")
         runner = SweepRunner(experiment_id="poison", resilience=policy)
         result = runner.map(poison_cell, [{"x": i} for i in range(5)])
         assert result[:3] == [0, 10, 20]
@@ -161,15 +133,29 @@ class TestRetries:
         assert failure.kind == "exception"
         assert failure.error_type == "ValueError"
         assert "poison 3" in failure.error_message
-        assert failure.attempts == 2  # first try + one retry
+        assert failure.attempts == 1
         assert failure.index == 3
         assert "poison 3" in failure.traceback
         assert "poison[3]" in str(failure)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_cell_executes_once(self, tmp_path, workers,
+                                        pool_always):
+        policy = ResiliencePolicy(capsule_dir=tmp_path / "capsules")
+        runner = SweepRunner(workers=workers, experiment_id="once",
+                             resilience=policy)
+        result = runner.map(counted_poison_cell,
+                            [{"x": i, "counter_dir": str(tmp_path)}
+                             for i in range(5)])
+        assert [result[i] for i in (0, 1, 2, 4)] == [0, 10, 20, 40]
+        assert result[3].kind == "exception"
+        assert result[3].attempts == 1
+        assert len(list(tmp_path.glob("call-3-*"))) == 1
+        assert len(list(tmp_path.glob("call-*"))) == 5
+
     def test_quarantine_emits_sweep_events(self, tmp_path):
         from repro.obs import Telemetry, read_events, validate_file
-        policy = ResiliencePolicy(max_retries=1, backoff_base=0.0,
-                                  capsule_dir=tmp_path / "capsules")
+        policy = ResiliencePolicy(capsule_dir=tmp_path / "capsules")
         telemetry = Telemetry(tmp_path / "obs", experiment="poison")
         with telemetry.activate():
             SweepRunner(experiment_id="poison", resilience=policy) \
@@ -177,7 +163,7 @@ class TestRetries:
         events = [e for e in read_events(telemetry.runlog_path)
                   if e["type"] == "sweep"]
         kinds = [e["event"] for e in events]
-        assert kinds.count("cell_retry") == 1
+        assert kinds.count("cell_retry") == 0
         assert kinds.count("cell_quarantined") == 1
         assert validate_file(telemetry.runlog_path) == []
 
@@ -200,12 +186,14 @@ class TestRetries:
 
 class TestTimeouts:
     def test_hung_cell_quarantined_innocents_survive(self, tmp_path):
-        policy = ResiliencePolicy(cell_timeout=1.0, max_retries=0,
+        policy = ResiliencePolicy(cell_timeout=1.0,
                                   capsule_dir=tmp_path / "capsules")
         runner = SweepRunner(workers=2, experiment_id="hang",
                              resilience=policy)
         started = time.monotonic()
-        result = runner.map(hang_cell, [{"x": i} for i in range(4)])
+        result = runner.map(hang_cell,
+                            [{"x": i, "counter_dir": str(tmp_path)}
+                             for i in range(4)])
         elapsed = time.monotonic() - started
         assert elapsed < 60  # nowhere near the cell's 300s sleep
         assert result[0] == 0
@@ -215,12 +203,13 @@ class TestTimeouts:
         assert is_failure(failure)
         assert failure.kind == "timeout"
         assert failure.attempts == 1
+        # One timeout, one execution: the budget is never burnt twice.
+        assert len(list(tmp_path.glob("hang-*"))) == 1
 
     def test_serial_sweep_warns_timeout_is_not_enforced(self):
         # A serial sweep cannot preempt its own cell: it says so once
         # per sweep instead of silently letting the budget pass.
-        policy = ResiliencePolicy(cell_timeout=0.05,
-                                  write_capsules=False)
+        policy = ResiliencePolicy(cell_timeout=0.05)
         runner = SweepRunner(workers=1, resilience=policy)
         with pytest.warns(RuntimeWarning,
                           match="not enforced") as caught:
@@ -231,8 +220,7 @@ class TestTimeouts:
 
     def test_nested_serial_sweep_does_not_warn(self, monkeypatch):
         monkeypatch.setenv(WORKER_ENV, "1")
-        policy = ResiliencePolicy(cell_timeout=0.05,
-                                  write_capsules=False)
+        policy = ResiliencePolicy(cell_timeout=0.05)
         runner = SweepRunner(workers=4, resilience=policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -240,293 +228,88 @@ class TestTimeouts:
 
 
 class TestPoolSupervision:
-    def test_sigkilled_worker_sweep_still_completes(self, monkeypatch):
-        # Every parallel attempt of cell 2 kills its worker; the
-        # runner respawns the pool, halves its width past the respawn
-        # budget, and the final serial drain (parent process, no
-        # WORKER_ENV) completes the cell.  Spawn cost pinned to zero
-        # so the cheap grid still goes through the pool under test.
-        from repro.perf import sweep as sweep_module
-        monkeypatch.setattr(sweep_module, "POOL_SPAWN_COST_S", 0.0)
-        policy = ResiliencePolicy(max_pool_respawns=1, max_retries=3,
-                                  backoff_base=0.0,
-                                  write_capsules=False)
+    def test_sigkilled_worker_sweep_still_completes(self, tmp_path,
+                                                    pool_always):
+        # Every dispatch of cell 2 kills its worker; the runner
+        # respawns the pool and re-dispatches it until its lost-worker
+        # budget is spent, then quarantines it.  The other cells
+        # complete, and the killer never runs in this process.
+        policy = ResiliencePolicy(capsule_dir=tmp_path / "capsules")
         runner = SweepRunner(workers=2, experiment_id="crash",
                              resilience=policy)
         result = runner.map(crash_cell, [{"x": i} for i in range(5)])
-        assert result == [0, 5, 10, 15, 20]
+        assert [result[i] for i in (0, 1, 3, 4)] == [0, 5, 15, 20]
+        failure = result[2]
+        assert is_failure(failure)
+        assert failure.kind == "worker-lost"
+        assert failure.error_type == "WorkerLost"
+        assert failure.attempts == DEFAULT_POOL_RESPAWNS + 1
+        assert failure.capsule_path is not None
 
-    def test_no_policy_worker_loss_still_raises(self, monkeypatch):
+    def test_no_policy_worker_loss_still_raises(self, pool_always):
         # Pool supervision is always on, but without a policy a cell
         # that keeps losing its worker must surface an error -- never
-        # a silent CellFailure placeholder.  The grid is cheap, so pin
-        # the spawn-cost estimate to keep the probe dispatcher from
-        # (correctly) keeping it serial -- the pool path is the one
-        # under test.
-        from repro.perf import sweep as sweep_module
-        monkeypatch.setattr(sweep_module, "POOL_SPAWN_COST_S", 0.0)
+        # a silent CellFailure placeholder.
         runner = SweepRunner(workers=2, experiment_id="crash")
         with pytest.raises(RuntimeError, match="lost its worker"):
             runner.map(crash_cell, [{"x": i} for i in range(5)])
 
 
-# -- the journal --------------------------------------------------------------
-
-
-class TestSweepJournal:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path, fingerprint="fp") as journal:
-            journal.record_cell("exp", "k1", {"a": np.arange(3)},
-                                attempts=1, elapsed=0.5)
-        reloaded = SweepJournal(path, fingerprint="fp")
-        hit, value = reloaded.lookup("k1")
-        assert hit
-        np.testing.assert_array_equal(value["a"], np.arange(3))
-        assert reloaded.lookup("missing") == (False, None)
-
-    def test_fingerprint_mismatch_ignored(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path, fingerprint="old") as journal:
-            journal.record_cell("exp", "k1", 1, attempts=1, elapsed=0)
-        reloaded = SweepJournal(path, fingerprint="new")
-        assert reloaded.lookup("k1") == (False, None)
-        assert reloaded.stale_entries == 1
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path, fingerprint="fp") as journal:
-            journal.record_cell("exp", "k1", 1, attempts=1, elapsed=0)
-            journal.record_cell("exp", "k2", 2, attempts=1, elapsed=0)
-        with open(path, "a", encoding="utf-8") as stream:
-            stream.write('{"version": 1, "type": "cell_done", "ke')
-        reloaded = SweepJournal(path, fingerprint="fp")
-        assert reloaded.torn_lines == 1
-        assert reloaded.lookup("k1") == (True, 1)
-        assert reloaded.lookup("k2") == (True, 2)
-
-    def test_corrupt_interior_line_raises(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path, fingerprint="fp") as journal:
-            journal.record_cell("exp", "k1", 1, attempts=1, elapsed=0)
-        text = path.read_text()
-        path.write_text("garbage not json\n" + text)
-        with pytest.raises(json.JSONDecodeError):
-            SweepJournal(path, fingerprint="fp")
-
-    def test_success_supersedes_failure(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        failure = CellFailure("exp", 0, {}, "exception", "E", "m", 2)
-        with SweepJournal(path, fingerprint="fp") as journal:
-            journal.record_failure(failure, "k1")
-            journal.record_cell("exp", "k1", 42, attempts=3, elapsed=0)
-        reloaded = SweepJournal(path, fingerprint="fp")
-        assert reloaded.lookup("k1") == (True, 42)
-        assert "k1" not in reloaded.failed
-
-    def test_encode_decode_is_pickle_faithful(self):
-        value = {"arr": np.linspace(0, 1, 7), "t": (1, "x")}
-        decoded = decode_value(encode_value(value))
-        assert pickle.dumps(decoded) == pickle.dumps(value)
+# -- resume: the result cache is the crash-surviving store --------------------
 
 
 class TestResume:
-    def _policy(self, tmp_path):
-        return ResiliencePolicy(journal_dir=tmp_path / "journals",
-                                capsule_dir=tmp_path / "capsules")
-
-    def test_resume_skips_journaled_cells(self, tmp_path):
-        cells = [{"x": i, "counter_dir": str(tmp_path)}
-                 for i in range(5)]
-        policy = self._policy(tmp_path)
+    def test_resume_skips_cached_cells(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "cache")
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        cells = [{"x": i, "counter_dir": str(calls)} for i in range(5)]
         # "Interrupted" first run: only the first three cells ran.
-        first = SweepRunner(experiment_id="resume", resilience=policy)
+        first = SweepRunner(cache=cache, experiment_id="resume")
         assert first.map(counted_cell, cells[:3]) == [0, 10, 20]
-        ran_before = len(list(tmp_path.glob("call-*")))
-        assert ran_before == 3
-        # The resumed run recomputes only the two missing cells.
-        second = SweepRunner(experiment_id="resume", resilience=policy)
+        assert len(list(calls.glob("call-*"))) == 3
+        # The resumed run executes only the two missing cells.
+        second = SweepRunner(cache=ResultCache(root=tmp_path / "cache"),
+                             experiment_id="resume")
         assert second.map(counted_cell, cells) == [0, 10, 20, 30, 40]
-        assert len(list(tmp_path.glob("call-*"))) == ran_before + 2
+        assert len(list(calls.glob("call-*"))) == 5
+        assert [len(list(calls.glob(f"call-{x}-*"))) for x in range(5)] \
+            == [1] * 5
+        assert second.cache.stats.hits == 3
 
-    def test_resumed_run_bit_identical_to_clean_serial(self, tmp_path):
+    def test_resumed_run_bit_identical_to_clean_serial(self, tmp_path,
+                                                       pool_always):
         cells = [{"seed": 100 + i} for i in range(6)]
         clean = SweepRunner(experiment_id="bits").map(seeded_draw,
                                                       cells)
-        policy = self._policy(tmp_path)
-        partial = SweepRunner(workers=2, experiment_id="bits",
-                              resilience=policy)
+        partial = SweepRunner(workers=2,
+                              cache=ResultCache(root=tmp_path),
+                              experiment_id="bits")
         partial.map(seeded_draw, cells[:4])
-        resumed = SweepRunner(workers=2, experiment_id="bits",
-                              resilience=policy)
+        resumed = SweepRunner(workers=2,
+                              cache=ResultCache(root=tmp_path),
+                              experiment_id="bits")
         result = resumed.map(seeded_draw, cells)
+        assert resumed.cache.stats.hits == 4
         # Per-value byte equality: every float bit survives the
-        # journal round trip.  (Whole-list pickles can differ in memo
+        # cache round trip.  (Whole-list pickles can differ in memo
         # structure -- shared vs per-array dtype objects -- without
         # any value differing.)
         assert [pickle.dumps(r) for r in result] \
             == [pickle.dumps(c) for c in clean]
 
-    def test_journal_promoted_into_cache(self, tmp_path):
-        # A journal hit backfills the result cache so later runs hit
-        # the cache directly.
-        cache = ResultCache(root=tmp_path / "cache")
-        policy = self._policy(tmp_path)
-        first = SweepRunner(experiment_id="promote", resilience=policy)
-        first.map(square, [{"x": 2}])
-        cache_runner = SweepRunner(cache=cache,
-                                   experiment_id="promote",
-                                   resilience=policy)
-        assert cache_runner.map(square, [{"x": 2}]) == [4]
-        assert cache.stats.puts == 1
-
-    def test_code_change_invalidates_journal(self, tmp_path,
-                                             monkeypatch):
-        cells = [{"x": i, "counter_dir": str(tmp_path)}
-                 for i in range(3)]
-        policy = self._policy(tmp_path)
-        monkeypatch.setenv(FINGERPRINT_ENV, "fp-one")
-        SweepRunner(experiment_id="inval",
-                    resilience=policy).map(counted_cell, cells)
-        assert len(list(tmp_path.glob("call-*"))) == 3
-        monkeypatch.setenv(FINGERPRINT_ENV, "fp-two")
-        SweepRunner(experiment_id="inval",
-                    resilience=policy).map(counted_cell, cells)
-        assert len(list(tmp_path.glob("call-*"))) == 6
-
-    def test_journal_requires_experiment_id(self, tmp_path):
-        with pytest.raises(ValueError):
-            SweepRunner(resilience=self._policy(tmp_path))
-
-    def test_keyboard_interrupt_flushes_journal(self, tmp_path):
-        policy = self._policy(tmp_path)
-        runner = SweepRunner(experiment_id="interrupt",
-                             resilience=policy)
+    def test_keyboard_interrupt_keeps_finished_cells_cached(
+            self, tmp_path):
+        runner = SweepRunner(cache=ResultCache(root=tmp_path),
+                             experiment_id="interrupt")
+        cells = [{"x": i} for i in range(5)]
         with pytest.raises(KeyboardInterrupt):
-            runner.map(interrupting_cell, [{"x": i} for i in range(5)])
-        journal = journal_for("interrupt", policy.journal_dir)
-        assert len(journal.completed) == 2  # cells 0 and 1 survived
-
-
-# -- journal shards (one writer per process) ---------------------------------
-
-
-class TestJournalShards:
-    def test_shard_write_path(self, tmp_path):
-        base = tmp_path / "exp.journal.jsonl"
-        journal = SweepJournal(base, fingerprint="fp", shard="h-1")
-        journal.record_cell("exp", "k1", 41, 1, 0.0)
-        journal.close()
-        assert not base.exists()
-        assert (tmp_path / "exp.journal-h-1.jsonl").exists()
-
-    def test_reads_merge_all_shards(self, tmp_path):
-        base = tmp_path / "exp.journal.jsonl"
-        for shard, key, value in (("a", "k1", 1), ("b", "k2", 2)):
-            journal = SweepJournal(base, fingerprint="fp",
-                                   shard=shard)
-            journal.record_cell("exp", key, value, 1, 0.0)
-            journal.close()
-        # An unsharded reader -- and any third shard -- sees the union.
-        merged = SweepJournal(base, fingerprint="fp")
-        assert merged.lookup("k1") == (True, 1)
-        assert merged.lookup("k2") == (True, 2)
-        third = SweepJournal(base, fingerprint="fp", shard="c")
-        assert third.lookup("k1") == (True, 1)
-
-    def test_journal_for_shard(self, tmp_path):
-        journal = journal_for("exp", tmp_path, fingerprint="fp",
-                              shard="w1")
-        journal.record_cell("exp", "k", "v", 1, 0.0)
-        journal.close()
-        assert (tmp_path / "exp.journal-w1.jsonl").exists()
-
-    def test_torn_shard_tail_tolerated(self, tmp_path):
-        base = tmp_path / "exp.journal.jsonl"
-        journal = SweepJournal(base, fingerprint="fp", shard="a")
-        journal.record_cell("exp", "k1", 7, 1, 0.0)
-        journal.close()
-        shard_path = tmp_path / "exp.journal-a.jsonl"
-        with open(shard_path, "a", encoding="utf-8") as stream:
-            stream.write('{"version": 1, "type": "cell_do')
-        merged = SweepJournal(base, fingerprint="fp")
-        assert merged.lookup("k1") == (True, 7)
-        assert merged.torn_lines == 1
-
-    def test_resumed_sweep_merges_other_shards(self, tmp_path):
-        """A resumed run (fresh pid => fresh shard) must see cells
-        journaled by any earlier process."""
-        policy = ResiliencePolicy(journal_dir=tmp_path,
-                                  write_capsules=False)
-        runner = SweepRunner(experiment_id="shardres",
-                             resilience=policy)
-        first = runner.map(square, [{"x": x} for x in (1, 2, 3)])
-        runner.journal.close()
-        # Simulate another process: move the (compacted) journal
-        # into a foreign shard, as a peer's appends would appear.
-        base = tmp_path / "shardres.journal.jsonl"
-        base.rename(tmp_path / "shardres.journal-otherhost-1.jsonl")
-        resumed_runner = SweepRunner(experiment_id="shardres",
-                                     resilience=policy)
-        resumed = resumed_runner.map(
-            square, [{"x": x} for x in (1, 2, 3)])
-        assert resumed == first
-        assert resumed_runner.journal.completed  # served from merge
-
-    def test_sweep_completion_compacts_shards(self, tmp_path):
-        """A finished sweep folds its per-process shard into the
-        base journal; long-lived experiments don't accumulate one
-        shard file per run ever executed."""
-        policy = ResiliencePolicy(journal_dir=tmp_path,
-                                  write_capsules=False)
-        runner = SweepRunner(experiment_id="cmpact",
-                             resilience=policy)
-        runner.map(square, [{"x": x} for x in (1, 2)])
-        assert (tmp_path / "cmpact.journal.jsonl").exists()
-        assert list(tmp_path.glob("cmpact.journal-*.jsonl")) == []
-        # The compacted journal still resumes every cell.
-        resumed = SweepRunner(experiment_id="cmpact",
-                              resilience=policy)
-        assert resumed.map(square, [{"x": x} for x in (1, 2)]) \
-            == [1, 4]
-
-    def test_compact_merges_and_unlinks_shards(self, tmp_path):
-        base = tmp_path / "exp.journal.jsonl"
-        for shard, key, value in (("a", "k1", 1), ("b", "k2", 2)):
-            journal = SweepJournal(base, fingerprint="fp",
-                                   shard=shard)
-            journal.record_cell("exp", key, value, 1, 0.0)
-            journal.close()
-        journal = SweepJournal(base, fingerprint="fp", shard="c")
-        journal.record_cell("exp", "k3", 3, 1, 0.0)
-        assert journal.compact() == 3
-        assert base.exists()
-        assert list(tmp_path.glob("exp.journal-*.jsonl")) == []
-        merged = SweepJournal(base, fingerprint="fp")
-        for key, value in (("k1", 1), ("k2", 2), ("k3", 3)):
-            assert merged.lookup(key) == (True, value)
-
-    def test_compact_drops_foreign_fingerprints(self, tmp_path):
-        # Orphaned entries (stale code) are garbage-collected by
-        # compaction, exactly like cache invalidation.
-        base = tmp_path / "exp.journal.jsonl"
-        old = SweepJournal(base, fingerprint="old", shard="a")
-        old.record_cell("exp", "k-old", 1, 1, 0.0)
-        old.close()
-        new = SweepJournal(base, fingerprint="new", shard="b")
-        new.record_cell("exp", "k-new", 2, 1, 0.0)
-        new.compact()
-        reloaded = SweepJournal(base, fingerprint="new")
-        assert reloaded.lookup("k-new") == (True, 2)
-        assert reloaded.stale_entries == 0
-
-    def test_compact_without_shards_is_noop(self, tmp_path):
-        base = tmp_path / "exp.journal.jsonl"
-        journal = SweepJournal(base, fingerprint="fp")
-        journal.record_cell("exp", "k", 1, 1, 0.0)
-        assert journal.compact() == 0
-        assert SweepJournal(base,
-                            fingerprint="fp").lookup("k") == (True, 1)
+            runner.map(interrupting_cell, cells)
+        cache = ResultCache(root=tmp_path)
+        params = [{"fn": interrupting_cell, "cell": cell}
+                  for cell in cells]
+        hits = [cache.get("interrupt", p)[0] for p in params]
+        assert hits == [True, True, False, False, False]
 
 
 # -- crash capsules and replay ------------------------------------------------
@@ -575,9 +358,13 @@ class TestCrashCapsules:
         assert outcome.value == 9
         assert not outcome.matches_original
 
+    def test_encode_decode_is_pickle_faithful(self):
+        value = {"arr": np.linspace(0, 1, 7), "t": (1, "x")}
+        decoded = decode_value(encode_value(value))
+        assert pickle.dumps(decoded) == pickle.dumps(value)
+
     def test_sweep_writes_replayable_capsule(self, tmp_path):
-        policy = ResiliencePolicy(max_retries=0,
-                                  capsule_dir=tmp_path / "capsules")
+        policy = ResiliencePolicy(capsule_dir=tmp_path / "capsules")
         runner = SweepRunner(experiment_id="caps", resilience=policy)
         result = runner.map(poison_cell, [{"x": i} for i in range(5)])
         [failure] = collect_failures(result)
@@ -616,19 +403,17 @@ class TestStaleTmpReaping:
 class TestCLI:
     def test_run_resume_and_replay(self, tmp_path, monkeypatch,
                                    capsys):
+        # ``--cache`` is the resume mechanism: a rerun against the
+        # same cache serves every finished cell from disk.
         from repro.__main__ import main
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["run", "ext_faults", "--resume",
-                     "--cell-retries", "1"]) == 0
-        # Journal appends go to a per-process shard (base name plus
-        # -<host>-<pid>) so concurrent writers never share a file.
-        journals = list((tmp_path / "journals").glob(
-            "ext_fault_resilience.journal*.jsonl"))
-        assert journals
+        assert main(["run", "ext_faults", "--cache"]) == 0
+        assert list((tmp_path / "ext_fault_resilience").glob("*.pkl"))
         capsys.readouterr()
-        assert main(["run", "ext_faults", "--resume"]) == 0
-        # Second run served entirely from the journal: near-instant.
+        assert main(["run", "ext_faults", "--cache"]) == 0
         out = capsys.readouterr().out
+        assert " 0 misses" in out
+        # Second run served entirely from the cache: near-instant.
         assert "ext_faults took 0." in out
 
     def test_replay_missing_capsule_exits_2(self, tmp_path, capsys):

@@ -117,14 +117,13 @@ class TestWatchState:
     def test_watch_shows_local_quarantine(self, tmp_path):
         from repro.perf import ResiliencePolicy, SweepRunner
         telemetry = Telemetry(tmp_path, experiment="demo")
-        policy = ResiliencePolicy(max_retries=1, write_capsules=False,
-                                  sleep=lambda seconds: None)
+        policy = ResiliencePolicy(capsule_dir=tmp_path / "capsules")
         with telemetry.activate():
             SweepRunner(experiment_id="demo", resilience=policy).map(
                 poison_cell, [{"x": x} for x in (1, 3)])
         out = io.StringIO()
         watch(telemetry.runlog_path, once=True, stream=out)
-        assert "sweep: 1 cell(s) quarantined, 1 retries" \
+        assert "sweep: 1 cell(s) quarantined, 0 retries" \
             in out.getvalue()
 
 
