@@ -10,7 +10,7 @@ any such model and returns a :class:`FluidTrace`.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,29 @@ class FluidModel:
     def clamp(self, state: np.ndarray) -> np.ndarray:
         """Project the state back into its physical domain (in place ok)."""
         return state
+
+    def reduced(self, initial: np.ndarray
+                ) -> "Optional[Tuple[FluidModel, np.ndarray, np.ndarray]]":
+        """An exact smaller system that integrates to the same states.
+
+        Returns ``(core, core_initial, columns)`` when, started from
+        ``initial``, this model's trajectory is ``core``'s trajectory
+        from ``core_initial`` with its columns repeated as
+        ``states[:, columns]``, bit for bit; the integrator then steps
+        the core instead.  The default, None, means no reduction.
+        """
+        return None
+
+
+def require_finite(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is finite.
+
+    The models' range checks let NaN through (it fails every
+    comparison), and a NaN or infinite input would only surface later,
+    as a divergence some steps into an integration.
+    """
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class FluidTrace:

@@ -24,11 +24,11 @@ and only post-fast-recovery events add ``R_AI`` to the target rate
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel
+from repro.core.fluid.base import FluidModel, require_finite
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import no_jitter
 from repro.core.params import DCQCNParams
@@ -218,13 +218,16 @@ class DCQCNFluidModel(FluidModel):
                 raise ValueError(
                     f"initial_rates must have shape ({self.n},), "
                     f"got {rates.shape}")
+            require_finite("initial_rates", rates)
             if np.any(rates <= 0):
                 raise ValueError("initial rates must be positive")
             self._initial_rates = rates
+        require_finite("initial_queue", initial_queue)
         if initial_queue < 0:
             raise ValueError(
                 f"initial_queue must be >= 0, got {initial_queue}")
         self._initial_queue = float(initial_queue)
+        require_finite("marking_delay", marking_delay)
         if marking_delay < 0:
             raise ValueError(
                 f"marking_delay must be >= 0, got {marking_delay}")
@@ -239,6 +242,7 @@ class DCQCNFluidModel(FluidModel):
                 raise ValueError(
                     f"start_times must have shape ({self.n},), "
                     f"got {starts.shape}")
+            require_finite("start_times", starts)
             if np.any(starts < 0):
                 raise ValueError("start times must be >= 0")
             self.start_times = starts
@@ -393,3 +397,120 @@ class DCQCNFluidModel(FluidModel):
         np.maximum(self._lower, state, out=state)
         np.minimum(self._upper, state, out=state)
         return state
+
+    def reduced(self, initial: np.ndarray
+                ) -> "Optional[Tuple[FluidModel, np.ndarray, np.ndarray]]":
+        """One representative flow when all ``N`` flows are exchangeable.
+
+        Flows that start together from bitwise-equal ``alpha``, ``R_T``
+        and ``R_C`` see the same shared ``p(t - tau*)`` and apply the
+        same per-element operations, so they stay bitwise equal for the
+        whole run (Thm. 1's setting).  The 4-state core integrates one
+        of them; only Eq. 4's sum needs all ``N`` copies.  Bit patterns
+        are compared, not values, so ``-0.0`` and ``0.0`` are told
+        apart.  Subclasses that change the right-hand side, the
+        marking or the clamp keep the N-flow path.
+        """
+        cls = type(self)
+        if (cls.derivatives is not DCQCNFluidModel.derivatives
+                or cls.marking_probability
+                is not DCQCNFluidModel.marking_probability
+                or cls.clamp is not DCQCNFluidModel.clamp
+                or not self._always_active):
+            return None
+        n = self.n
+        blocks = initial[1:].view(np.uint64).reshape(3, n)
+        if not np.all(blocks == blocks[:, :1]):
+            return None
+        core_initial = initial[[0, 1, 1 + n, 1 + 2 * n]]
+        columns = np.repeat(np.arange(4), [1, n, n, n])
+        return _ExchangeableCore(self), core_initial, columns
+
+
+class _ExchangeableCore(FluidModel):
+    """``[q, alpha, R_T, R_C]`` of a :class:`DCQCNFluidModel` whose
+    flows are exchangeable (see :meth:`DCQCNFluidModel.reduced`).
+
+    The right-hand side is Eqs. 4-7 and 12 on Python floats, in the
+    full model's per-element operation order, so every column equals
+    the matching column of the N-flow integration bit for bit.  That
+    takes numpy's ``log1p``, ``expm1`` and ``exp`` on scalars (Python's
+    ``math`` differs in the last ulp) and the pairwise ``np.add.reduce``
+    over ``N`` copies for Eq. 4 (docs/PERFORMANCE.md, "Fluid layer").
+    """
+
+    def __init__(self, model: DCQCNFluidModel):
+        p = model.params
+        self.model = model
+        self._copies = np.empty(model.n)
+        line_rate = float(model.line_rate)
+        self._lower = np.array([0.0, 0.0, MIN_RATE, MIN_RATE])
+        self._upper = np.array([np.inf, 1.0, line_rate, line_rate])
+        f_steps = float(p.fast_recovery_steps)
+        self._fb_steps = f_steps * p.byte_counter
+        self._ft_steps = f_steps * p.timer
+        self._inv_timer = 1.0 / p.timer
+        self._g_rate = p.g / p.tau_prime
+        self._two_tau = 2.0 * p.tau
+
+    def state_labels(self) -> List[str]:
+        return ["q", "alpha", "rt", "rc"]
+
+    def derivatives(self, t: float, state: np.ndarray,
+                    history: UniformHistory) -> np.ndarray:
+        model = self.model
+        p = model.params
+        queue, alpha, rt, rc = state.tolist()
+
+        # The same two feedback_jitter(t) calls as the N-flow model.
+        mark_p = model.marking_probability(t, history)
+        rate = history.component(
+            t - p.tau_star - model.feedback_jitter(t), 3)
+        if rate < MIN_RATE:
+            rate = MIN_RATE
+
+        # qcn_event_rates for one flow; its log1p(-p) is shared with
+        # the alpha target below, as the N-flow model shares it.
+        if mark_p <= 0.0:
+            mark_fraction = 0.0
+            byte_rate = byte_ai_rate = rate / p.byte_counter
+            timer_rate = timer_ai_rate = self._inv_timer
+            dalpha = (0.0 - alpha) * self._g_rate
+        else:
+            ceiled = min(mark_p, _P_CEIL)
+            log_keep = float(np.log1p(-ceiled))
+            mark_fraction = -float(np.expm1(p.tau * rate * log_keep))
+            p_rate = ceiled * rate
+            byte_exponent = -p.byte_counter * log_keep
+            timer_exponent = p.timer * rate * -log_keep
+            with np.errstate(over="ignore"):
+                if byte_exponent < 1e-12:
+                    byte_rate = rate / p.byte_counter
+                else:
+                    byte_rate = p_rate / float(np.expm1(byte_exponent))
+                if timer_exponent < 1e-12:
+                    timer_rate = self._inv_timer
+                else:
+                    timer_rate = p_rate / float(np.expm1(timer_exponent))
+            byte_ai_rate = byte_rate * float(np.exp(
+                self._fb_steps * log_keep))
+            timer_ai_rate = timer_rate * float(np.exp(
+                self._ft_steps * rate * log_keep))
+            dalpha = ((-float(np.expm1(p.tau_prime * rate * log_keep))
+                       - alpha) * self._g_rate)
+
+        # Eq. 4 sums N equal rates in numpy's pairwise order.
+        copies = self._copies
+        copies.fill(rc)
+        dq = float(_add_reduce(copies)) - p.capacity
+        if queue <= 0.0 and dq < 0.0:
+            dq = 0.0
+        gap = rt - rc
+        drt = -gap / p.tau * mark_fraction + (
+            (byte_ai_rate + timer_ai_rate) * p.rate_ai)
+        drc = -(rc * alpha) / self._two_tau * mark_fraction + (
+            (byte_rate + timer_rate) * (gap / 2.0))
+        return np.array([dq, dalpha, drt, drc])
+
+    # The N-flow clamp, against this core's 4-column bound vectors.
+    clamp = DCQCNFluidModel.clamp

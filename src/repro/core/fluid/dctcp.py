@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel
+from repro.core.fluid.base import FluidModel, require_finite
 from repro.core.fluid.history import UniformHistory
 
 #: Windows below one packet stall the model; clamp like the protocols do.
@@ -62,6 +62,11 @@ class DCTCPFluidModel(FluidModel):
                  g: float = 1.0 / 16.0,
                  initial_windows: Optional[Sequence[float]] = None,
                  initial_queue: float = 0.0):
+        for name, value in (("capacity", capacity),
+                            ("marking_threshold", marking_threshold),
+                            ("prop_delay", prop_delay),
+                            ("initial_queue", initial_queue)):
+            require_finite(name, value)
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if num_flows < 1:
@@ -90,6 +95,7 @@ class DCTCPFluidModel(FluidModel):
                 raise ValueError(
                     f"initial_windows must have shape ({num_flows},), "
                     f"got {windows.shape}")
+            require_finite("initial_windows", windows)
             if np.any(windows < MIN_WINDOW):
                 raise ValueError(
                     f"windows must be >= {MIN_WINDOW} packet")

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel, FluidTrace
+from repro.core.fluid.base import FluidModel, FluidTrace, require_finite
 from repro.core.fluid.history import UniformHistory
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
@@ -184,7 +184,9 @@ def integrate(model: FluidModel,
         skips the hook entirely.  On a halved-step retry the observer
         is re-fed from ``t_start`` -- resettable consumers should
         clear their buffers in that case (``t`` going backwards is
-        the signal).
+        the signal).  When the model integrates through a smaller
+        exact core (:meth:`FluidModel.reduced`), ``state`` is instead
+        a fresh copy expanded to the model's full layout.
     observer_stride:
         Steps between observer calls; defaults to ``record_stride``.
 
@@ -193,6 +195,9 @@ def integrate(model: FluidModel,
     FluidTrace
         Sampled state trajectory, including the initial state.
     """
+    for name, value in (("t_start", t_start), ("t_end", t_end),
+                        ("dt", dt)):
+        require_finite(name, value)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end <= t_start:
@@ -222,6 +227,20 @@ def integrate(model: FluidModel,
         raise ValueError(
             f"initial state has shape {initial.shape}, expected "
             f"({len(labels)},) to match state_labels()")
+    require_finite("initial_state" if initial_state is not None
+                   else "model.initial_state()", initial)
+
+    # Step an exact smaller system when the model offers one, and
+    # expand what leaves the integrator back to the full layout.
+    columns = None
+    reduction = model.reduced(initial)
+    if reduction is not None:
+        model, initial, columns = reduction
+        if observer is not None:
+            full_observer = observer
+
+            def observer(t, state):
+                full_observer(t, state[columns])
 
     # Telemetry publishes once per integrate() call / retry / abort
     # -- aggregation points, never inside the stepping loop.  With
@@ -234,7 +253,7 @@ def integrate(model: FluidModel,
             try:
                 return _integrate_once(model, stepper, t_start, t_end,
                                        attempt_dt, record_stride,
-                                       initial, labels, method,
+                                       initial, labels, columns, method,
                                        divergence_limit,
                                        retries=attempt,
                                        observer=observer,
@@ -275,7 +294,8 @@ def _emit_retry_event(failure: IntegrationFailure,
 
 def _integrate_once(model: FluidModel, stepper: Callable, t_start: float,
                     t_end: float, dt: float, record_stride: int,
-                    initial: np.ndarray, labels, method: str,
+                    initial: np.ndarray, labels,
+                    columns: Optional[np.ndarray], method: str,
                     divergence_limit: Optional[float],
                     retries: int,
                     observer: Optional[Callable[[float, np.ndarray],
@@ -286,7 +306,9 @@ def _integrate_once(model: FluidModel, stepper: Callable, t_start: float,
     The history buffer is preallocated for the whole horizon (the step
     count is known up front), and the returned trace is a strided copy
     of that same buffer -- stepping never re-records states it has
-    already written into the history.
+    already written into the history.  ``columns``, when not None,
+    expands a reduced core's states (the trace and a failure's state)
+    to the full model's layout.
     """
     state = initial.copy()
     n_steps = int(round((t_end - t_start) / dt))
@@ -319,6 +341,8 @@ def _integrate_once(model: FluidModel, stepper: Callable, t_start: float,
                          f"divergence limit {limit:.3g}")
             _metrics.get_registry().counter(
                 "fluid.dde.steps_total").inc(step)
+            if columns is not None:
+                state = state[columns]
             raise IntegrationError(IntegrationFailure(
                 step=step, time=t + dt, state=state, cause=cause,
                 method=method, dt=dt, retries=retries))
@@ -330,4 +354,6 @@ def _integrate_once(model: FluidModel, stepper: Callable, t_start: float,
     _metrics.get_registry().counter(
         "fluid.dde.steps_total").inc(n_steps)
     times, states = history.strided_view(record_stride)
+    if columns is not None:
+        states = np.take(states, columns, axis=1)
     return FluidTrace(times, states, labels)

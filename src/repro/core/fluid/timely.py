@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel
+from repro.core.fluid.base import FluidModel, require_finite
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import no_jitter
 from repro.core.params import TimelyParams
@@ -94,9 +94,11 @@ class TimelyFluidModel(FluidModel):
                 raise ValueError(
                     f"initial_rates must have shape ({self.n},), "
                     f"got {rates.shape}")
+            require_finite("initial_rates", rates)
             if np.any(rates <= 0):
                 raise ValueError("initial rates must be positive")
             self._initial_rates = rates
+        require_finite("initial_queue", initial_queue)
         if initial_queue < 0:
             raise ValueError(
                 f"initial_queue must be >= 0, got {initial_queue}")
@@ -111,6 +113,7 @@ class TimelyFluidModel(FluidModel):
                 raise ValueError(
                     f"start_times must have shape ({self.n},), "
                     f"got {starts.shape}")
+            require_finite("start_times", starts)
             if np.any(starts < 0):
                 raise ValueError("start times must be >= 0")
             self.start_times = starts

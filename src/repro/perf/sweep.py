@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 import time
 import traceback as _traceback
 import warnings
@@ -104,6 +105,9 @@ MAX_CHUNK = 64
 #: deadlines are noticed promptly without spinning.
 _MIN_POLL_S = 0.02
 _MAX_POLL_S = 0.25
+
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.2
 
 
 def derive_seed(base_seed: int, *key: int) -> int:
@@ -192,6 +196,31 @@ def _run_chunk(payload:
             outcomes.append(
                 ("ok", time.perf_counter() - started, value))
     return outcomes
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool initializer: end this worker once ``parent_pid`` is gone.
+
+    A SIGKILLed sweep process never shuts its pool down; its workers
+    are reparented and would otherwise wait for work forever.  A
+    daemon thread exits the worker as soon as its own parent changes
+    (under the ``fork`` and ``spawn`` start methods that parent is
+    ``parent_pid``) or ``parent_pid`` no longer exists (under
+    ``forkserver`` the parent is the fork server, which outlives it).
+    """
+    watched = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == watched:
+            try:
+                os.kill(parent_pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="sweep-parent-watch",
+                     daemon=True).start()
 
 
 def _sweep_event(event: str, **fields: Any) -> None:
@@ -581,7 +610,9 @@ class SweepRunner:
                 if executor is None:
                     try:
                         executor = ProcessPoolExecutor(
-                            max_workers=width)
+                            max_workers=width,
+                            initializer=_exit_with_parent,
+                            initargs=(os.getpid(),))
                     except (OSError, PermissionError) as error:
                         warnings.warn(
                             f"process pool unavailable ({error}); "

@@ -153,6 +153,20 @@ class TestMechanics:
         with pytest.raises(ValueError):
             dde.integrate(ExponentialDecay(), **base)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("t_end", dict(t_end=math.nan)),
+        ("t_end", dict(t_end=math.inf)),
+        ("dt", dict(dt=math.nan)),
+        ("t_start", dict(t_start=-math.inf)),
+        ("initial_state", dict(initial_state=np.array([math.nan]))),
+    ], ids=["nan_t_end", "inf_t_end", "nan_dt", "inf_t_start",
+            "nan_initial_state"])
+    def test_non_finite_argument_rejected(self, name, kwargs):
+        base = dict(t_end=1.0, dt=1e-3)
+        base.update(kwargs)
+        with pytest.raises(ValueError, match=name):
+            dde.integrate(ExponentialDecay(), **base)
+
     def test_wrong_initial_state_shape_rejected(self):
         with pytest.raises(ValueError):
             dde.integrate(ExponentialDecay(), 1.0, dt=1e-3,

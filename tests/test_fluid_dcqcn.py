@@ -124,6 +124,18 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             DCQCNFluidModel(dcqcn_params, initial_queue=-1.0)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("initial_rates", dict(initial_rates=[np.nan, 1e6])),
+        ("initial_rates", dict(initial_rates=[np.inf, 1e6])),
+        ("initial_queue", dict(initial_queue=np.nan)),
+        ("marking_delay", dict(marking_delay=np.nan)),
+        ("start_times", dict(start_times=[0.0, np.nan])),
+    ], ids=["nan_rate", "inf_rate", "nan_queue", "nan_marking_delay",
+            "nan_start"])
+    def test_rejects_non_finite(self, dcqcn_params, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            DCQCNFluidModel(dcqcn_params, **kwargs)
+
     def test_rejects_negative_marking_delay(self, dcqcn_params):
         with pytest.raises(ValueError):
             DCQCNFluidModel(dcqcn_params, marking_delay=-1e-6)
@@ -523,3 +535,172 @@ class TestBitExactReference:
             got = model.clamp(state.copy())
             want = ref_clamp(model, state.copy())
             assert np.array_equal(got, want, equal_nan=True)
+
+
+# -- exchangeable flows: the 4-state core -------------------------------------
+
+
+class _Unreduced(DCQCNFluidModel):
+    """The same model forced onto the N-flow path."""
+
+    def reduced(self, initial):
+        return None
+
+
+def _fig04_cell(cls=DCQCNFluidModel, **kwargs):
+    params = DCQCNParams.paper_default(num_flows=10, tau_star_us=85.0)
+    return cls(params, extend_red=True, **kwargs)
+
+
+#: Ten copies of this rate sum differently pairwise (numpy), left to
+#: right and as ``10 * rate``, so Eq. 4's order is pinned.
+_RATE = 1e7 / 3.0
+
+
+class TestExchangeableReduction:
+    """Identical flows integrate as one representative, bit for bit."""
+
+    def test_limit_cycle_trace_matches_full_path(self):
+        # 20 ms at 85 us, N = 10 reaches the Fig. 4 limit cycle.
+        model = _fig04_cell()
+        assert model.reduced(model.initial_state()) is not None
+        got = dde.integrate(model, 20e-3, dt=1e-6)
+        want = dde.integrate(_fig04_cell(_Unreduced), 20e-3, dt=1e-6)
+        assert got.labels == want.labels
+        assert np.array_equal(got.states, want.states)
+        assert got.tail_std("q", 5e-3) > 1.0
+
+    @pytest.mark.parametrize("num_flows", [1, 64])
+    def test_short_traces_match_full_path(self, num_flows):
+        params = DCQCNParams.paper_default(num_flows=num_flows,
+                                           tau_star_us=20.0)
+        got = dde.integrate(DCQCNFluidModel(params), 1e-3, dt=1e-6)
+        want = dde.integrate(_Unreduced(params), 1e-3, dt=1e-6)
+        assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("regime", [
+        "p0", "p1e-15", "ramp", "byte_overflow", "red_cliff"])
+    def test_single_derivatives(self, regime):
+        params = DCQCNParams.paper_default(num_flows=10, tau_star_us=85.0)
+        extend_red = regime == "byte_overflow"
+        queue = {"p0": 0.5 * params.red.kmin,
+                 "p1e-15": _queue_for(params, 1e-15),
+                 "ramp": _queue_for(params, 4e-3),
+                 "byte_overflow": _queue_for(params, 0.2),
+                 "red_cliff": 2.0 * params.red.kmax}[regime]
+        model = DCQCNFluidModel(params, extend_red=extend_red)
+        state = model.initial_state()
+        state[0] = queue
+        state[model.alpha_slice()] = 0.37
+        state[model.rt_slice()] = 0.9 * model.line_rate
+        state[model.rc_slice()] = _RATE
+        core, core_state, columns = model.reduced(state)
+        assert np.array_equal(core_state[columns], state)
+        full_history = _constant_history(state)
+        core_history = _constant_history(core_state)
+        for t in (0.0, 1.37e-4, 3.99e-4):
+            mark_p = model.marking_probability(t, full_history)
+            if regime == "p0":
+                assert mark_p == 0.0
+            elif regime == "p1e-15":
+                assert 0.0 < mark_p < 1e-13
+            elif regime == "red_cliff":
+                assert mark_p == 1.0
+            want = model.derivatives(t, state, full_history)
+            got = core.derivatives(t, core_state, core_history)
+            assert np.array_equal(got[columns], want)
+            assert np.array_equal(got[columns], ref_derivatives(
+                model, t, state, full_history))
+
+    def test_feedback_jitter_called_as_often(self):
+        calls = {"reduced": 0, "full": 0}
+
+        def counting(key):
+            def jitter(t):
+                calls[key] += 1
+                return 1e-6 * (calls[key] % 3)
+            return jitter
+
+        params = DCQCNParams.paper_default(num_flows=4, tau_star_us=20.0)
+        got = dde.integrate(DCQCNFluidModel(
+            params, feedback_jitter=counting("reduced")), 2e-4, dt=1e-6)
+        want = dde.integrate(_Unreduced(
+            params, feedback_jitter=counting("full")), 2e-4, dt=1e-6)
+        assert calls["reduced"] == calls["full"] > 0
+        assert np.array_equal(got.states, want.states)
+
+    def test_unequal_initial_rates_fall_back(self):
+        params = DCQCNParams.paper_default(num_flows=3)
+        model = DCQCNFluidModel(params, initial_rates=[1e6, 1e6, 2e6])
+        assert model.reduced(model.initial_state()) is None
+
+    def test_staggered_starts_fall_back(self):
+        params = DCQCNParams.paper_default(num_flows=3)
+        model = DCQCNFluidModel(params, start_times=[0.0, 0.0, 1e-4])
+        assert model.reduced(model.initial_state()) is None
+
+    @pytest.mark.parametrize("block", ["alpha", "rt", "rc"])
+    def test_one_perturbed_flow_falls_back(self, block):
+        model = _fig04_cell()
+        state = model.initial_state()
+        column = {"alpha": model.alpha_slice(), "rt": model.rt_slice(),
+                  "rc": model.rc_slice()}[block].start + 3
+        state[column] = np.nextafter(state[column], 0.0)
+        assert model.reduced(state) is None
+
+    def test_signed_zero_is_not_equal(self):
+        model = _fig04_cell()
+        state = model.initial_state()
+        state[model.alpha_slice()] = 0.0
+        assert model.reduced(state) is not None
+        state[model.alpha_slice().start + 4] = -0.0
+        assert model.reduced(state) is None
+
+    def test_pi_model_falls_back(self):
+        model = DCQCNPIFluidModel(DCQCNParams.paper_default(num_flows=2),
+                                  PIParams.for_dcqcn(100.0))
+        assert model.reduced(model.initial_state()) is None
+
+    def test_observer_sees_full_layout(self):
+        seen = {"reduced": [], "full": []}
+
+        def recorder(key):
+            return lambda t, state: seen[key].append((t, state.copy()))
+
+        params = DCQCNParams.paper_default(num_flows=3, tau_star_us=20.0)
+        dde.integrate(DCQCNFluidModel(params), 2e-4, dt=1e-6,
+                      observer=recorder("reduced"), observer_stride=7)
+        dde.integrate(_Unreduced(params), 2e-4, dt=1e-6,
+                      observer=recorder("full"), observer_stride=7)
+        assert len(seen["reduced"]) == len(seen["full"]) == 28
+        for (t, got), (t_full, want) in zip(seen["reduced"], seen["full"]):
+            assert t == t_full
+            assert got.shape == (10,)
+            assert np.array_equal(got, want)
+
+    def test_failure_state_has_full_layout(self):
+        params = DCQCNParams.paper_default(num_flows=3)
+        failures = []
+        for model in (DCQCNFluidModel(params), _Unreduced(params)):
+            with pytest.raises(dde.IntegrationError) as caught:
+                dde.integrate(model, 1e-4, dt=1e-6, max_retries=0,
+                              divergence_limit=1.0)
+            failures.append(caught.value.failure)
+        reduced, full = failures
+        assert reduced.state.shape == (10,)
+        assert np.array_equal(reduced.state, full.state)
+        assert str(reduced) == str(full)
+
+    def test_core_emits_no_runtime_warning(self):
+        # The byte-counter expm1 overflows to +inf at p = 0.2.
+        model = _fig04_cell()
+        state = model.initial_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (0.0, 1e-15, 0.2, 1.0):
+                state[0] = (_queue_for(model.params, p) if p < 1.0
+                            else 2.0 * model.params.red.kmax)
+                core, core_state, _ = model.reduced(state)
+                core.derivatives(0.0, core_state,
+                                 _constant_history(core_state))
+            dde.integrate(model, 1e-3, dt=1e-6, initial_state=state)

@@ -44,6 +44,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_model(initial_windows=[1.0])
 
+    @pytest.mark.parametrize("name", [
+        "capacity", "marking_threshold", "prop_delay", "initial_queue"])
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=name):
+            make_model(**{name: np.nan})
+
+    def test_rejects_infinite_window(self):
+        with pytest.raises(ValueError, match="initial_windows"):
+            make_model(initial_windows=[np.inf, 10.0])
+
 
 class TestMechanics:
     def test_step_marking(self):

@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TimelyFluidModel(timely_params, start_times=[0.0])
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("initial_rates", dict(initial_rates=[np.inf, 1e5])),
+        ("initial_queue", dict(initial_queue=np.nan)),
+        ("start_times", dict(start_times=[0.0, np.nan])),
+    ], ids=["inf_rate", "nan_queue", "nan_start"])
+    def test_rejects_non_finite(self, timely_params, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            TimelyFluidModel(timely_params, **kwargs)
+
 
 class TestEquation23And24:
     def test_update_interval_floor_is_min_rtt(self, timely_params):

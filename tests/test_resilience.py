@@ -14,6 +14,8 @@ import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.perf import (CellFailure, CrashCapsule, ResiliencePolicy,
                         ResultCache, SweepRunner, collect_failures,
                         is_failure, replay_capsule)
@@ -253,6 +256,84 @@ class TestPoolSupervision:
         runner = SweepRunner(workers=2, experiment_id="crash")
         with pytest.raises(RuntimeError, match="lost its worker"):
             runner.map(crash_cell, [{"x": i} for i in range(5)])
+
+
+#: A sweep process whose two pool workers record their pids and then
+#: sit in a long cell, for the parent-death test below.
+_ORPHANING_PARENT = """
+import os
+import sys
+import time
+from pathlib import Path
+
+from repro.perf import ResiliencePolicy, SweepRunner
+
+
+def record_pid(x, pid_dir):
+    Path(pid_dir, str(os.getpid())).touch()
+    time.sleep(120)
+    return x
+
+
+if __name__ == "__main__":
+    pid_dir = sys.argv[1]
+    # A cell timeout sends both cells straight to a 2-worker pool,
+    # with no in-process probe cell.
+    policy = ResiliencePolicy(cell_timeout=300.0,
+                              capsule_dir=Path(pid_dir, "capsules"))
+    SweepRunner(workers=2, resilience=policy).map(
+        record_pid, [{"x": x, "pid_dir": pid_dir} for x in range(2)])
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs; an exited zombie awaiting its reaper
+    counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestParentDeath:
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(_ORPHANING_PARENT)
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop(WORKER_ENV, None)
+        parent = subprocess.Popen(
+            [sys.executable, str(script), str(pid_dir)], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and parent.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(entry.name) for entry in pid_dir.iterdir()
+                           if entry.name.isdigit()]
+            assert len(workers) == 2
+            assert parent.pid not in workers
+            os.kill(parent.pid, signal.SIGKILL)
+            parent.wait()
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in workers) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # -- resume: the result cache is the crash-surviving store --------------------
