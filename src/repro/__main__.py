@@ -17,7 +17,6 @@ Usage::
     python -m repro watch obs/                   # live dashboard of a run
     python -m repro compare obs_a/ obs_b/        # cross-run regression diff
     python -m repro replay CAPSULE.json          # re-run a failed cell
-    python -m repro fuzz --budget 50 --seed 0 --shrink  # conformance
     python -m repro run fig05 --profile          # sampling profiler
 
 Each run prints the table of numbers the corresponding paper figure
@@ -173,42 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the replay under full telemetry/"
                              "health, recording into DIR")
 
-    fuzz = sub.add_parser(
-        "fuzz", help="differential chaos-conformance fuzzing: "
-                     "randomized scenarios, forensics off vs on, "
-                     "under invariant oracles (see repro.qa)")
-    fuzz.add_argument("--budget", type=int, default=None, metavar="N",
-                      help="number of scenarios to run")
-    fuzz.add_argument("--seconds", type=float, default=None,
-                      metavar="S",
-                      help="wall-clock cap instead of a scenario "
-                           "count (at least one scenario runs)")
-    fuzz.add_argument("--seed", type=int, default=0, metavar="S",
-                      help="fuzzer seed; scenario i of seed s is "
-                           "identical on every machine (default 0)")
-    fuzz.add_argument("--start-index", type=int, default=0,
-                      metavar="I",
-                      help="first scenario index (continue a "
-                           "previous campaign without re-running "
-                           "its scenarios)")
-    fuzz.add_argument("--matrix", default=None, metavar="C1,C2",
-                      help="comma-separated comparison classes "
-                           "(forensics; default all)")
-    fuzz.add_argument("--skip-oracle", action="append", default=None,
-                      metavar="NAME", dest="skip_oracles",
-                      help="disable one oracle (repeatable); for "
-                           "triage, not for CI")
-    fuzz.add_argument("--shrink", action="store_true",
-                      help="delta-debug each violating scenario to "
-                           "a minimal reproducer before writing its "
-                           "capsule")
-    fuzz.add_argument("--capsule-dir", default=None, metavar="DIR",
-                      help="where violating scenarios are written "
-                           "as replay-compatible crash capsules "
-                           "(default runs/fuzz-capsules)")
-    fuzz.add_argument("--telemetry", metavar="DIR", default=None,
-                      help="record qa.* metrics and run-log 'fuzz' "
-                           "events into DIR")
     return parser
 
 
@@ -375,58 +338,6 @@ def run_experiments(names: List[str],
     return 1 if quarantined else 0
 
 
-def run_fuzz_command(budget: "int | None",
-                     seconds: "float | None",
-                     seed: int,
-                     start_index: int,
-                     matrix: "str | None",
-                     skip_oracles: "List[str] | None",
-                     shrink: bool,
-                     capsule_dir: "str | None",
-                     telemetry_dir: "str | None") -> int:
-    """Run a fuzz campaign; exit 0 when every oracle stayed clean.
-
-    Exit codes: 0 all scenarios conformed, 1 at least one oracle
-    violation (capsules written for each), 2 bad arguments.
-    """
-    from repro.qa import format_report, run_fuzz
-    from repro.qa.driver import default_capsule_dir
-
-    if budget is None and seconds is None:
-        print("fuzz: need --budget N or --seconds S",
-              file=sys.stderr)
-        return 2
-    classes = None
-    if matrix is not None:
-        classes = [c.strip() for c in matrix.split(",") if c.strip()]
-    capsules = capsule_dir if capsule_dir is not None \
-        else str(default_capsule_dir())
-
-    def campaign() -> "object":
-        return run_fuzz(budget=budget, seconds=seconds, seed=seed,
-                        matrix=classes, skip_oracles=skip_oracles,
-                        shrink=shrink, capsule_dir=capsules,
-                        start_index=start_index, log=print)
-
-    try:
-        if telemetry_dir is not None:
-            from repro.obs.telemetry import Telemetry
-            bundle = Telemetry.ensure(telemetry_dir,
-                                      experiment=f"fuzz-seed{seed}")
-            with bundle.activate(params={
-                    "seed": seed, "budget": budget,
-                    "seconds": seconds, "shrink": shrink}):
-                report = campaign()
-            print(f"[telemetry: {bundle.runlog_path}]")
-        else:
-            report = campaign()
-    except ValueError as error:
-        print(f"fuzz: {error}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    return 0 if report.ok else 1
-
-
 def replay_crash_capsule(path: str,
                          telemetry_dir: "str | None" = None) -> int:
     """Re-run a crash capsule's cell serially and report the outcome.
@@ -579,11 +490,6 @@ def main(argv: "List[str] | None" = None) -> int:
     if args.command == "replay":
         return replay_crash_capsule(args.capsule,
                                     telemetry_dir=args.telemetry)
-    if args.command == "fuzz":
-        return run_fuzz_command(args.budget, args.seconds, args.seed,
-                                args.start_index, args.matrix,
-                                args.skip_oracles, args.shrink,
-                                args.capsule_dir, args.telemetry)
     return run_experiments(args.experiments, csv_dir=args.csv,
                            workers=args.workers,
                            use_cache=args.cache,

@@ -188,10 +188,11 @@ class UniformHistory:
 
         Lets the integrator hand a thinned trace to the caller without
         having re-recorded anything during stepping: the history *is*
-        the trace.
+        the trace.  Indexing with an index array already returns a new
+        array, so the states need no further copy.
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         indices = np.arange(0, self._count, stride)
         times = self._t0 + self._dt * indices
-        return times, self._data[indices].copy()
+        return times, self._data[indices]

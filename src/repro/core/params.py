@@ -19,14 +19,22 @@ build the default configurations the paper uses:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro import units
 
 
 def _require_positive(name: str, value: float) -> None:
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be finite and positive, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"{name} must be finite and >= 0, got {value}")
 
 
 def _require_fraction(name: str, value: float) -> None:
@@ -48,6 +56,7 @@ class REDParams:
 
     def __post_init__(self) -> None:
         _require_positive("kmin", self.kmin)
+        _require_positive("kmax", self.kmax)
         if self.kmax <= self.kmin:
             raise ValueError(
                 f"kmax ({self.kmax}) must exceed kmin ({self.kmin})")
@@ -120,12 +129,12 @@ class DCQCNParams:
         _require_fraction("g", self.g)
         _require_positive("tau", self.tau)
         _require_positive("tau_prime", self.tau_prime)
-        if self.tau_star < 0:
-            raise ValueError(f"tau_star must be >= 0, got {self.tau_star}")
+        _require_nonnegative("tau_star", self.tau_star)
         _require_positive("fast_recovery_steps", self.fast_recovery_steps)
         _require_positive("byte_counter", self.byte_counter)
         _require_positive("timer", self.timer)
         _require_positive("rate_ai", self.rate_ai)
+        _require_positive("rate_hai", self.rate_hai)
         if self.tau_prime < self.tau:
             raise ValueError(
                 "tau_prime (alpha decay interval) must be larger than the "
@@ -192,13 +201,12 @@ class TimelyParams:
         _require_positive("delta", self.delta)
         _require_fraction("beta", self.beta)
         _require_positive("t_low", self.t_low)
+        _require_positive("t_high", self.t_high)
         if self.t_high <= self.t_low:
             raise ValueError(
                 f"t_high ({self.t_high}) must exceed t_low ({self.t_low})")
         _require_positive("min_rtt", self.min_rtt)
-        if self.prop_delay < 0:
-            raise ValueError(
-                f"prop_delay must be >= 0, got {self.prop_delay}")
+        _require_nonnegative("prop_delay", self.prop_delay)
         _require_positive("segment", self.segment)
 
     @property
@@ -366,8 +374,7 @@ class PIParams:
 
     def __post_init__(self) -> None:
         _require_positive("q_ref", self.q_ref)
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        _require_nonnegative("k1", self.k1)
         _require_positive("k2", self.k2)
         if not 0.0 <= self.p_min < self.p_max <= 1.0:
             raise ValueError(

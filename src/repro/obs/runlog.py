@@ -54,6 +54,11 @@ Event types:
     has since been removed (``worker`` carries an ``event``,
     ``trace`` a ``trace_id``).  Nothing emits them any more; they
     stay in the schema so logs already written still validate.
+``fuzz``
+    Legacy, read-only: written by the differential fuzzer
+    (``repro fuzz``), which has since been removed; it carries an
+    ``event``.  Nothing emits it any more; it stays in the schema so
+    logs already written still validate.
 ``profile``
     A sampling-profiler summary (``samples`` plus the per-category
     share breakdown; see :mod:`repro.obs.profile`).
@@ -68,11 +73,6 @@ Event types:
     ``events_processed``); emitted just before the engine raises
     :class:`~repro.sim.engine.SimulationAborted`, so live surfaces
     show *why* a run died.
-``fuzz``
-    A chaos-conformance harness transition (``event`` one of
-    ``scenario_start``, ``scenario_ok``, ``violation``, ``shrunk``,
-    ``summary``; see :mod:`repro.qa`), with context such as the
-    scenario digest, seed and the violated oracle.
 ``run_end``
     ``status`` (``ok``/``error``) and total ``wall_s``.
 
@@ -237,10 +237,6 @@ class RunLog:
                          sim_time=float(sim_time),
                          events_processed=int(events_processed),
                          **fields)
-
-    def fuzz(self, event: str, **fields: Any) -> dict:
-        """Record a chaos-conformance harness transition."""
-        return self.emit("fuzz", event=event, **fields)
 
     def health(self, detector: str, severity: str, message: str,
                **fields: Any) -> dict:

@@ -27,15 +27,6 @@ CONTROL_PACKET_BYTES = 64
 RELEASED_KIND = "__released__"
 
 
-class PoolMisuseError(RuntimeError):
-    """A pooled packet was released twice or after recycling.
-
-    Raised only in strict debug mode (see
-    :meth:`PacketPool.debug_session`); outside it misuse is counted
-    but tolerated, preserving the historical idempotent-``release``
-    contract."""
-
-
 class Packet:
     """A data or control packet.
 
@@ -120,19 +111,20 @@ class PacketPool:
     ``max_free`` bounds freelist growth so a transient burst does not
     pin its high-water packet count forever.
 
-    Debug mode (:meth:`debug_session`) adds a misuse guard for the
-    fuzz harness: every loan is tracked by object identity, releases
-    of non-loaned packets are counted as double-releases, and released
-    packets are *quarantined* with a poisoned ``kind`` instead of
-    recycled, so any later dispatch of a stale reference raises
-    through the terminal host's unknown-kind check.  Outstanding loans
-    at scrape time surface as the ``sim.packet.pool_leaked_total``
-    gauge, which the fuzz leak oracle reconciles against known sinks
-    (drop-tail losses, fault drops, held packets).
+    Debug mode (:meth:`debug_session`) adds a misuse guard: every loan
+    is tracked by object identity, releases of non-loaned packets are
+    counted in :attr:`double_releases`, and released packets are
+    *quarantined* with a poisoned ``kind`` instead of recycled, so any
+    later dispatch of a stale reference raises through the terminal
+    host's unknown-kind check.  After a quiescent run,
+    :attr:`outstanding` must equal the packets that never reached a
+    host (drop-tail losses, fault drops, queued backlog); the pool
+    property tests in ``tests/test_sim_properties.py`` check exactly
+    that.
     """
 
     __slots__ = ("_free", "max_free", "allocated", "reused", "debug",
-                 "strict", "_loans", "_quarantine", "double_releases")
+                 "_loans", "_quarantine", "double_releases")
 
     def __init__(self, max_free: int = 8192):
         self._free: list = []
@@ -141,9 +133,6 @@ class PacketPool:
         self.reused = 0
         #: True while a :meth:`debug_session` is active.
         self.debug = False
-        #: In debug mode, raise :class:`PoolMisuseError` on misuse
-        #: instead of only counting it.
-        self.strict = False
         #: Live loans by ``id(packet)`` (strong refs, so ids are
         #: never aliased by the garbage collector).
         self._loans: dict = {}
@@ -185,9 +174,6 @@ class PacketPool:
         if not packet.pooled:
             if self.debug:
                 self.double_releases += 1
-                if self.strict:
-                    raise PoolMisuseError(
-                        f"double release of {packet!r}")
             return
         packet.pooled = False
         if self.debug:
@@ -215,7 +201,7 @@ class PacketPool:
         return out
 
     @contextmanager
-    def debug_session(self, strict: bool = False) -> Iterator["PacketPool"]:
+    def debug_session(self) -> Iterator["PacketPool"]:
         """Run a block with loan tracking and the misuse guard on.
 
         Counters (:attr:`outstanding`, :attr:`double_releases`) are
@@ -231,23 +217,17 @@ class PacketPool:
         self._quarantine.clear()
         self.double_releases = 0
         self.debug = True
-        self.strict = strict
         try:
             yield self
         finally:
             self.debug = False
-            self.strict = False
             self._quarantine.clear()
 
     def publish_metrics(self, registry, prefix: str = "sim.packet") -> None:
-        """Scrape pool counters; the leak gauge feeds the fuzz oracle."""
+        """Scrape the pool's allocation and freelist counters."""
         registry.gauge(f"{prefix}.pool_allocated").set(self.allocated)
         registry.gauge(f"{prefix}.pool_reused").set(self.reused)
         registry.gauge(f"{prefix}.pool_free").set(len(self._free))
-        registry.gauge(f"{prefix}.pool_leaked_total").set(
-            self.outstanding)
-        registry.gauge(f"{prefix}.pool_double_releases_total").set(
-            self.double_releases)
 
     def __len__(self) -> int:
         return len(self._free)

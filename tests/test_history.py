@@ -86,6 +86,24 @@ class TestGrowth:
         assert times[0] == pytest.approx(0.0)
         assert times[-1] == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("stride", [1, 3, 50])
+    def test_strided_view_is_an_independent_thinning(self, stride):
+        history = UniformHistory(0.0, 0.5, np.array([0.0, 1.0, 2.0]))
+        for k in range(1, 40):
+            history.append(np.array([k, k + 1.0, k * k]))
+        times, states = history.strided_view(stride)
+        all_times, all_states = history.as_arrays()
+        assert np.array_equal(times, all_times[::stride])
+        assert np.array_equal(states, all_states[::stride])
+        # The states own their memory: writing them leaves the history.
+        assert not np.shares_memory(states, history._data)
+        states[0, 0] = 999.0
+        assert history(0.0)[0] == 0.0
+
+    def test_strided_view_rejects_zero_stride(self):
+        with pytest.raises(ValueError):
+            make_linear_history().strided_view(0)
+
 
 class TestInterpolationProperties:
     @given(st.floats(min_value=-1.0, max_value=3.0))

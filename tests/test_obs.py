@@ -228,6 +228,22 @@ class TestRunLog:
         assert events[2]["component"] == "fluid.dde"
         assert validate_file(path) == []
 
+    def test_legacy_fuzz_event_still_validates(self, tmp_path):
+        # No writer emits ``fuzz`` any more; a log written before the
+        # fuzzer was removed must still pass the schema check.
+        path = tmp_path / "old.jsonl"
+        lines = [
+            {"type": "run_start", "experiment": "fuzz-seed0",
+             "params_hash": "abc", "version": 7},
+            {"type": "fuzz", "event": "scenario_ok", "index": 0},
+            {"type": "run_end", "status": "ok", "wall_s": 0.5},
+        ]
+        path.write_text("".join(
+            json.dumps({"run_id": "old", "seq": seq, "ts": 1.0, **line})
+            + "\n" for seq, line in enumerate(lines)))
+        assert not hasattr(RunLog, "fuzz")
+        assert validate_file(path) == []
+
     def test_dde_halved_step_retry_emits_retry_event(self, tmp_path):
         # A stiff model under explicit euler diverges at dt and is
         # rescued at dt/2; with telemetry active the integrator must

@@ -1,13 +1,21 @@
 """Parameter dataclass validation and the RED profile (Eq. 3 / Eq. 9)."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import units
-from repro.core.params import PIParams, PatchedTimelyParams, REDParams
+from repro.core.params import (
+    DCQCNParams,
+    DCTCPParams,
+    PatchedTimelyParams,
+    PIParams,
+    REDParams,
+    TimelyParams,
+)
 
 
 class TestREDParams:
@@ -202,3 +210,64 @@ class TestPIParams:
     def test_rejects_bad_clamp_window(self):
         with pytest.raises(ValueError):
             PIParams(q_ref=100, k1=1.0, k2=1.0, p_min=0.5, p_max=0.5)
+
+
+#: A valid instance of each parameter class, to corrupt one field of.
+_VALID = {
+    "REDParams": REDParams.paper_default(),
+    "DCQCNParams": DCQCNParams.paper_default(),
+    "TimelyParams": TimelyParams.paper_default(),
+    "PatchedTimelyParams": PatchedTimelyParams.paper_default(),
+    "DCTCPParams": DCTCPParams(),
+    "PIParams": PIParams.for_dcqcn(100.0),
+}
+
+#: Every numeric field a constructor validates, by class.
+_CHECKED_FIELDS = {
+    "REDParams": ("kmin", "kmax", "pmax"),
+    "DCQCNParams": ("capacity", "num_flows", "g", "tau", "tau_prime",
+                    "tau_star", "fast_recovery_steps", "byte_counter",
+                    "timer", "rate_ai", "rate_hai"),
+    "TimelyParams": ("capacity", "num_flows", "ewma_alpha", "delta",
+                     "beta", "t_low", "t_high", "min_rtt", "prop_delay",
+                     "segment"),
+    "PatchedTimelyParams": ("q_ref", "beta_band",
+                            "weight_slope_halfwidth"),
+    "DCTCPParams": ("g", "step_threshold", "initial_window_packets"),
+    "PIParams": ("q_ref", "k1", "k2", "p_min", "p_max"),
+}
+
+
+class TestNonFiniteRejected:
+    """NaN and inf fail at construction, naming the field."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("cls, field", [
+        (cls, field) for cls, fields in _CHECKED_FIELDS.items()
+        for field in fields])
+    def test_field(self, cls, field, bad):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            dataclasses.replace(_VALID[cls], **{field: bad})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: DCQCNParams.paper_default(tau_star_us=math.nan),
+         "tau_star"),
+        (lambda: DCQCNParams.paper_default(capacity_gbps=math.nan),
+         "capacity"),
+        (lambda: DCQCNParams.paper_default(capacity_gbps=math.inf),
+         "capacity"),
+        (lambda: TimelyParams.paper_default(capacity_gbps=math.nan),
+         "capacity"),
+        (lambda: TimelyParams.paper_default(prop_delay_us=math.inf),
+         "prop_delay"),
+        (lambda: PatchedTimelyParams.paper_default(
+            capacity_gbps=math.nan), "capacity"),
+        (lambda: PIParams.for_dcqcn(math.nan), "q_ref"),
+    ], ids=["dcqcn-tau_star-nan", "dcqcn-capacity-nan",
+            "dcqcn-capacity-inf", "timely-capacity-nan",
+            "timely-prop_delay-inf", "patched-capacity-nan",
+            "pi-q_ref-nan"])
+    def test_factory(self, build, field):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            build()
