@@ -16,7 +16,7 @@ Run:  python examples/stability_map.py
 from repro import units
 from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import DCQCNFluidModel
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import DCQCNParams, PatchedTimelyParams
 from repro.experiments import fig03_dcqcn_phase_margin as fig03
 from repro.experiments import fig11_patched_phase_margin as fig11
@@ -57,7 +57,7 @@ def spot_check_patched():
     print("== Time-domain spot check: patched TIMELY ==")
     for n in (10, 64):
         patched = PatchedTimelyParams.paper_default(num_flows=n)
-        trace = dde.integrate(PatchedTimelyFluidModel(patched), 0.15,
+        trace = dde.integrate(TimelyFluidModel(patched), 0.15,
                               dt=1e-6, record_stride=50)
         mean = trace.tail_mean("q", 0.03)
         std = trace.tail_std("q", 0.03)

@@ -12,8 +12,8 @@ Reproduces the Section 4 story end to end:
 Run:  python examples/timely_unfairness.py
 """
 
-from repro import (PatchedTimelyFluidModel, PatchedTimelyParams,
-                   TimelyParams, dde, jain_fairness, units)
+from repro import (PatchedTimelyParams, TimelyFluidModel, TimelyParams,
+                   dde, jain_fairness, units)
 from repro.analysis.reporting import format_table
 from repro.core.fixedpoint.timely import (patched_fixed_point,
                                           sample_fixed_points)
@@ -45,7 +45,7 @@ def show_patch():
     print("== Patched TIMELY from the 7/3 Gbps start (Fig. 12a) ==")
     patched = PatchedTimelyParams.paper_default(num_flows=2)
     mtu = patched.base.mtu_bytes
-    model = PatchedTimelyFluidModel(
+    model = TimelyFluidModel(
         patched,
         initial_rates=[units.gbps_to_pps(7, mtu),
                        units.gbps_to_pps(3, mtu)])

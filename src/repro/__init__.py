@@ -32,10 +32,7 @@ from repro.core.fixedpoint.timely import patched_fixed_point
 from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import DCQCNFluidModel
 from repro.core.fluid.dctcp import DCTCPFluidModel
-from repro.core.fluid.noisy_timely import NoisyTimelyFluidModel
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
-from repro.core.fluid.pi import (DCQCNPIFluidModel,
-                                 PatchedTimelyPIFluidModel)
+from repro.core.fluid.pi import DCQCNPIFluidModel
 from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import (DCQCNParams, DCTCPParams, PIParams,
                                PatchedTimelyParams, REDParams,
@@ -52,10 +49,7 @@ __all__ = [
     "DCTCPFluidModel",
     "DCTCPParams",
     "DiscreteDCQCN",
-    "NoisyTimelyFluidModel",
     "PIParams",
-    "PatchedTimelyFluidModel",
-    "PatchedTimelyPIFluidModel",
     "PatchedTimelyParams",
     "REDParams",
     "TimelyFluidModel",

@@ -1,8 +1,8 @@
-"""TIMELY fluid model -- Figure 7 / Equations 20-24 of the paper.
+"""TIMELY fluid models -- Figure 7 / Equations 20-24, 28-30 and 32.
 
 State layout for ``N`` flows: ``[q, g_1..g_N, r_1..r_N]`` where ``g`` is
 the (normalized, EWMA-filtered) RTT gradient and ``r`` the sending
-rate.
+rate; the host-side PI variant appends ``[p_1..p_N]``.
 
 The distinguishing features, faithfully reproduced:
 
@@ -19,25 +19,52 @@ The distinguishing features, faithfully reproduced:
   guards are checked on the *delayed* queue, and only between them does
   the gradient decide.
 
-``gradient_zero_increases`` selects between the paper's two variants:
-``True`` is Algorithm 1 / Eq. 21 (``g <= 0`` increases -- Theorem 3: no
-fixed point at all); ``False`` is the Eq. 28 modification (``g >= 0``
-decreases -- Theorem 4: infinitely many fixed points).  The fluid
-trajectories of the two are indistinguishable in practice (an exactly
-zero gradient has measure zero); both are provided because the paper's
-fixed-point taxonomy hinges on the distinction.
+The paper's five TIMELY systems share all of the above and differ only
+in the in-band rate law and its feedback term.  Here they are data of
+one :class:`TimelyFluidModel`, fixed at construction:
+
+* ``TimelyParams``: Algorithm 1 / Eq. 21 (``g <= 0`` increases --
+  Theorem 3: no fixed point at all), or with
+  ``gradient_zero_increases=False`` the Eq. 28 modification (``g >= 0``
+  decreases -- Theorem 4: infinitely many fixed points).  The fluid
+  trajectories of the two are indistinguishable in practice (an
+  exactly zero gradient has measure zero); both are provided because
+  the paper's fixed-point taxonomy hinges on the distinction.
+* ``PatchedTimelyParams``: Section 4.3's Algorithm 2 / Eqs. 29-30.  In
+  the gradient band the decrease is driven by the *absolute* queue
+  excess ``e = (q - q')/q'`` over ``q' = C * T_low`` instead of by the
+  gradient, giving every flow shared knowledge of the bottleneck queue
+  -- this collapses Theorem 4's infinite fixed-point family into
+  Theorem 5's unique point (Eq. 31) -- and the hard ``g`` switch
+  becomes the continuous weight ``w(g)`` (Eq. 30).
+* ``PatchedTimelyParams`` with ``pi=PIParams``: Section 5.2 / Fig. 19.
+  Each *host* integrates its own delay error (Eq. 32) into an internal
+  variable ``p_i`` that replaces ``e``.  The queue is pinned to the
+  reference, but the per-host integrators retain whatever asymmetry
+  their histories accumulated: bounded delay *without* fairness, the
+  underdetermined system of Theorem 6's proof (``N+1`` equations,
+  ``2N`` unknowns).
+* ``TimelyParams`` with ``noise_amplitude > 0``: Section 4.2's
+  burst-pacing conjecture -- per-burst pacing "introduces enough
+  'noise' to de-correlate the flows", which the paper could not prove.
+  Independent zero-mean per-flow noise enters each flow's RTT
+  *measurement*, exactly what colliding bursts do to real RTT samples,
+  and so the sampled queue difference of Eq. 22.  ``ext_noise`` shows
+  the 7/3 Gbps asymmetry that persists without noise random-walking
+  toward the fair share with it: evidence for, not a proof of, the
+  conjecture.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.fluid.base import FluidModel, require_finite
 from repro.core.fluid.history import UniformHistory
-from repro.core.fluid.jitter import no_jitter
-from repro.core.params import TimelyParams
+from repro.core.fluid.jitter import JitterProcess, no_jitter
+from repro.core.params import PatchedTimelyParams, PIParams, TimelyParams
 
 #: Floor on flow rates (packets/s); keeps ``Seg / R`` finite.
 MIN_RATE = 1.0
@@ -52,7 +79,10 @@ class TimelyFluidModel(FluidModel):
     Parameters
     ----------
     params:
-        TIMELY configuration.
+        TIMELY configuration.  A :class:`TimelyParams` selects Eq. 21
+        (or Eq. 28); a :class:`PatchedTimelyParams`, whose embedded
+        base carries the Section 4.3 overrides (``beta = 0.008``,
+        ``Seg = 16KB``), selects Eqs. 29-30.
     initial_rates:
         Per-flow starting rates, packets/s.  Defaults to ``C/N`` each
         (TIMELY starts a new flow at ``C/(N+1)`` of the NIC rate with
@@ -74,27 +104,72 @@ class TimelyFluidModel(FluidModel):
         flow contributes nothing to the queue and its state is frozen;
         at activation it enters at its configured initial rate.  Used
         by the Fig. 9(b) "one flow starts 10 ms late" experiment.
+    gradient_zero_increases:
+        Algorithm 1 semantics (``g <= 0`` -> additive increase).  False
+        selects the Eq. 28 variant (``g >= 0`` -> decrease).
+        ``TimelyParams`` only.
+    pi:
+        Host-side PI gains (Eq. 32) whose per-flow state ``p_i``
+        (labels ``p[i]``) replaces the queue error of Eq. 29.
+        ``PatchedTimelyParams`` only.
+    initial_p:
+        Per-flow starting ``p_i`` (default 0); needs ``pi``.
+    noise_amplitude:
+        Half-width of the zero-mean uniform RTT measurement noise, in
+        packets of apparent queue (a colliding Seg-sized burst perturbs
+        the sampled RTT by up to ~Seg packets of queueing).  0 means
+        no noise.  ``TimelyParams`` only.
+    noise_interval:
+        How often each flow's noise re-draws, seconds -- roughly one
+        RTT sample period.
+    noise_seed:
+        Base seed; flow ``i`` draws from its own stream ``seed + i``.
     """
 
-    def __init__(self, params: TimelyParams,
+    def __init__(self, params: Union[TimelyParams, PatchedTimelyParams],
                  initial_rates: Optional[Sequence[float]] = None,
                  initial_queue: float = 0.0,
                  line_rate: Optional[float] = None,
                  feedback_jitter: Callable[[float], float] = no_jitter,
                  mtu_packets: float = 1.0,
-                 start_times: Optional[Sequence[float]] = None):
+                 start_times: Optional[Sequence[float]] = None,
+                 gradient_zero_increases: bool = True,
+                 pi: Optional[PIParams] = None,
+                 initial_p: Optional[Sequence[float]] = None,
+                 noise_amplitude: float = 0.0,
+                 noise_interval: float = 30e-6,
+                 noise_seed: int = 0):
+        require_finite("noise_amplitude", noise_amplitude)
+        if noise_amplitude < 0:
+            raise ValueError(
+                f"noise_amplitude must be >= 0, got {noise_amplitude}")
+        require_finite("noise_interval", noise_interval)
+        if noise_interval <= 0:
+            raise ValueError(
+                f"noise_interval must be positive, got {noise_interval}")
+        # Exactly the paper's five systems are reachable.
+        if isinstance(params, PatchedTimelyParams):
+            if not gradient_zero_increases or noise_amplitude > 0:
+                raise ValueError(
+                    "gradient_zero_increases=False and noise_amplitude "
+                    "need TimelyParams, not PatchedTimelyParams")
+            self.patched = params
+            params = params.base
+        else:
+            if pi is not None:
+                raise ValueError("pi needs PatchedTimelyParams")
+            self.patched = None
+        if initial_p is not None and pi is None:
+            raise ValueError("initial_p needs pi")
         self.params = params
         self.n = params.num_flows
+        self.gradient_zero_increases = bool(gradient_zero_increases)
+        self.pi = pi
         self.line_rate = params.capacity if line_rate is None else line_rate
         if initial_rates is None:
             self._initial_rates = np.full(self.n, params.fair_share)
         else:
-            rates = np.asarray(initial_rates, dtype=float)
-            if rates.shape != (self.n,):
-                raise ValueError(
-                    f"initial_rates must have shape ({self.n},), "
-                    f"got {rates.shape}")
-            require_finite("initial_rates", rates)
+            rates = self._per_flow("initial_rates", initial_rates)
             if np.any(rates <= 0):
                 raise ValueError("initial rates must be positive")
             self._initial_rates = rates
@@ -108,27 +183,50 @@ class TimelyFluidModel(FluidModel):
         if start_times is None:
             self.start_times = np.zeros(self.n)
         else:
-            starts = np.asarray(start_times, dtype=float)
-            if starts.shape != (self.n,):
-                raise ValueError(
-                    f"start_times must have shape ({self.n},), "
-                    f"got {starts.shape}")
-            require_finite("start_times", starts)
+            starts = self._per_flow("start_times", start_times)
             if np.any(starts < 0):
                 raise ValueError("start times must be >= 0")
             self.start_times = starts
+        self._initial_p = np.zeros(self.n) if initial_p is None \
+            else self._per_flow("initial_p", initial_p)
+        # The T_high brake: base beta, but the gentle band gain under
+        # PI -- an 0.8-strength cut fighting the integral controller
+        # produces a crash/ramp limit cycle that buries the fairness
+        # question Fig. 19 isolates.
+        self._brake_beta = params.beta if pi is None \
+            else self.patched.beta_band
+        self.noise_amplitude = float(noise_amplitude)
+        # Uniform[0, 2A] shifted to zero-mean Uniform[-A, A].
+        self._noise = None if noise_amplitude == 0 else [
+            JitterProcess(2.0 * self.noise_amplitude,
+                          resample_interval=noise_interval,
+                          seed=noise_seed + i)
+            for i in range(self.n)]
         # Built once: consulted on every derivative evaluation.
-        self._gradient_sl = slice(1, 1 + self.n)
-        self._rate_sl = slice(1 + self.n, 1 + 2 * self.n)
+        n = self.n
+        self._gradient_sl = slice(1, 1 + n)
+        self._rate_sl = slice(1 + n, 1 + 2 * n)
+        self._p_sl = slice(1 + 2 * n, 1 + 3 * n)
         self._always_active = not np.any(self.start_times > 0.0)
         # Per-column bounds for clamp(): [q, g, R] -> [0, inf),
-        # unbounded, [MIN_RATE, line rate].
-        n = self.n
+        # unbounded, [MIN_RATE, line rate].  The p_i are internal
+        # variables, free to go negative: unbounded too.
+        n_p = 0 if pi is None else n
         self._lower = np.concatenate(
-            [[0.0], np.full(n, -np.inf), np.full(n, MIN_RATE)])
+            [[0.0], np.full(n, -np.inf), np.full(n, MIN_RATE),
+             np.full(n_p, -np.inf)])
         self._upper = np.concatenate(
             [[np.inf], np.full(n, np.inf),
-             np.full(n, float(self.line_rate))])
+             np.full(n, float(self.line_rate)), np.full(n_p, np.inf)])
+
+    def _per_flow(self, name: str, values: Sequence[float]) -> np.ndarray:
+        """``values`` as a finite float array of shape ``(N,)``."""
+        array = np.asarray(values, dtype=float)
+        if array.shape != (self.n,):
+            raise ValueError(
+                f"{name} must have shape ({self.n},), got {array.shape}")
+        require_finite(name, array)
+        return array
 
     # -- state vector layout -------------------------------------------------
 
@@ -145,17 +243,25 @@ class TimelyFluidModel(FluidModel):
         """Columns holding the per-flow rates ``R_i``."""
         return self._rate_sl
 
+    def p_slice(self) -> slice:
+        """Columns holding the per-host PI variables ``p_i`` (with ``pi``)."""
+        return self._p_sl
+
     def initial_state(self) -> np.ndarray:
-        state = np.empty(1 + 2 * self.n)
+        state = np.empty(len(self._lower))
         state[self.queue_index] = self._initial_queue
         state[self.gradient_slice()] = 0.0
         state[self.rate_slice()] = self._initial_rates
+        if self.pi is not None:
+            state[self._p_sl] = self._initial_p
         return state
 
     def state_labels(self) -> List[str]:
         labels = ["q"]
         labels += [f"g[{i}]" for i in range(self.n)]
         labels += [f"r[{i}]" for i in range(self.n)]
+        if self.pi is not None:
+            labels += [f"p[{i}]" for i in range(self.n)]
         return labels
 
     # -- dynamics ------------------------------------------------------------
@@ -174,37 +280,59 @@ class TimelyFluidModel(FluidModel):
             + p.prop_delay
         return base + self.feedback_jitter(t)
 
+    def weights(self, gradients: np.ndarray) -> np.ndarray:
+        """Vectorized Eq. 30: linear ramp from 0 to 1 over g in [-1/4, 1/4]."""
+        half = self.patched.weight_slope_halfwidth
+        w = gradients / (2.0 * half)
+        w += 0.5
+        np.maximum(0.0, w, out=w)
+        np.minimum(1.0, w, out=w)
+        return w
+
     def rate_derivative(self, delayed_queue: float, gradients: np.ndarray,
-                        rates: np.ndarray,
-                        tau_star: np.ndarray) -> np.ndarray:
-        """Eq. 21 following Algorithm 1's branch precedence."""
+                        rates: np.ndarray, tau_star: np.ndarray,
+                        feedback: Optional[np.ndarray] = None
+                        ) -> np.ndarray:
+        """Eq. 21, 28 or 29 following Algorithm 1's branch precedence.
+
+        ``feedback`` replaces Eq. 29's queue error ``e`` (the PI
+        variables ``p_i``); None uses ``e`` itself.
+        """
         p = self.params
         if delayed_queue < p.q_low:
-            return self.params.delta / tau_star
+            return p.delta / tau_star
         if delayed_queue > p.q_high:
             scale = 1.0 - p.q_high / delayed_queue
-            return -(p.beta / tau_star) * scale * rates
-        increase = self.params.delta / tau_star
-        decrease = -(gradients * p.beta / tau_star) * rates
-        if self.gradient_zero_increases:
-            decreasing = gradients > 0.0
-        else:
-            decreasing = gradients >= 0.0
-        return np.where(decreasing, decrease, increase)
-
-    #: Algorithm 1 semantics (``g <= 0`` -> additive increase).  Set to
-    #: False for the Eq. 28 variant (``g >= 0`` -> decrease).
-    gradient_zero_increases: bool = True
+            return -(self._brake_beta / tau_star) * scale * rates
+        if self.patched is None:
+            increase = p.delta / tau_star
+            decrease = -(gradients * p.beta / tau_star) * rates
+            if self.gradient_zero_increases:
+                decreasing = gradients > 0.0
+            else:
+                decreasing = gradients >= 0.0
+            return np.where(decreasing, decrease, increase)
+        w = self.weights(gradients)
+        if feedback is None:
+            q_ref = self.patched.q_ref
+            feedback = (delayed_queue - q_ref) / q_ref
+        beta = self.patched.beta_band
+        return ((1.0 - w) * p.delta - w * beta * rates * feedback) / tau_star
 
     def active_flows(self, t: float) -> np.ndarray:
         """Boolean mask of flows whose start time has passed."""
         return t >= self.start_times
 
+    def measurement_noise(self, t: float) -> np.ndarray:
+        """Zero-mean apparent-queue error per flow, packets."""
+        return np.array([process(t) - self.noise_amplitude
+                         for process in self._noise])
+
     def derivatives(self, t: float, state: np.ndarray,
                     history: UniformHistory) -> np.ndarray:
         # As in DCQCNFluidModel.derivatives: terms are built in place
         # with each element's operation order kept (bit-identical to
-        # the direct transcription of Eqs. 20-24).
+        # the direct transcription of Eqs. 20-24, 29 and 32).
         p = self.params
         queue = state.item(self.queue_index)
         gradients = state[self._gradient_sl]
@@ -235,15 +363,37 @@ class TimelyFluidModel(FluidModel):
                           for interval in tau_star.tolist()])
         dg = out[self._gradient_sl]
         np.subtract(delayed_queue, older, out=dg)
+        feedback = None
+        pi = self.pi
+        if pi is not None:
+            # Eq. 32 at the host: dp_i/dt = K1 de/dt + K2 e on the
+            # delay error seen through the feedback path (Eq. 24) and
+            # its slope over one update interval, both normalized by
+            # the reference.  No anti-windup clamp, so nothing forgets
+            # inter-host asymmetry.
+            feedback = state[self._p_sl]
+            dp = out[self._p_sl]
+            np.divide(dg, tau_star, out=dp)
+            dp /= pi.q_ref
+            dp *= pi.k1
+            dp += pi.k2 * ((delayed_queue - pi.q_ref) / pi.q_ref)
         dg /= p.capacity * p.min_rtt
         dg -= gradients
         dg *= p.ewma_alpha / tau_star
 
         out[self._rate_sl] = self.rate_derivative(
-            delayed_queue, gradients, rates, tau_star)
+            delayed_queue, gradients, rates, tau_star, feedback)
         if active is not None:
             # Flows that have not started yet keep their state frozen.
-            out[1:1 + 2 * self.n].reshape(2, self.n)[:, ~active] = 0.0
+            out[1:].reshape(-1, self.n)[:, ~active] = 0.0
+        if self._noise is not None:
+            # The noise perturbs the sampled queue difference in Eq. 22.
+            noise = p.ewma_alpha / tau_star
+            noise *= self.measurement_noise(t)
+            noise /= p.capacity * p.min_rtt
+            if active is not None:
+                noise[~active] = 0.0
+            dg += noise
         return out
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
@@ -251,14 +401,3 @@ class TimelyFluidModel(FluidModel):
         np.maximum(self._lower, state, out=state)
         np.minimum(self._upper, state, out=state)
         return state
-
-
-class ModifiedTimelyFluidModel(TimelyFluidModel):
-    """The Eq. 28 variant: ``g >= 0`` decreases (Theorem 4's system).
-
-    Identical trajectories in practice; exists so the fixed-point
-    analysis (none vs. infinitely many) can target the exact system the
-    corresponding theorem describes.
-    """
-
-    gradient_zero_increases = False

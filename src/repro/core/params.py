@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro import units
@@ -35,6 +36,13 @@ def _require_nonnegative(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(
             f"{name} must be finite and >= 0, got {value}")
+
+
+def _require_count(name: str, value: int) -> None:
+    # numpy integers are Integral; bool is too, but is no count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _require_fraction(name: str, value: float) -> None:
@@ -97,6 +105,7 @@ class REDParams:
             mtu_bytes: int = units.DEFAULT_MTU_BYTES,
     ) -> "REDParams":
         """Defaults from [31]: Kmin=5KB, Kmax=200KB, Pmax=1%."""
+        _require_positive("mtu_bytes", mtu_bytes)
         return cls(kmin=units.kb_to_packets(5, mtu_bytes),
                    kmax=units.kb_to_packets(200, mtu_bytes),
                    pmax=0.01)
@@ -125,7 +134,7 @@ class DCQCNParams:
 
     def __post_init__(self) -> None:
         _require_positive("capacity", self.capacity)
-        _require_positive("num_flows", self.num_flows)
+        _require_count("num_flows", self.num_flows)
         _require_fraction("g", self.g)
         _require_positive("tau", self.tau)
         _require_positive("tau_prime", self.tau_prime)
@@ -135,6 +144,7 @@ class DCQCNParams:
         _require_positive("timer", self.timer)
         _require_positive("rate_ai", self.rate_ai)
         _require_positive("rate_hai", self.rate_hai)
+        _require_positive("mtu_bytes", self.mtu_bytes)
         if self.tau_prime < self.tau:
             raise ValueError(
                 "tau_prime (alpha decay interval) must be larger than the "
@@ -161,6 +171,7 @@ class DCQCNParams:
         ``tau_star_us`` is the control-loop delay; the paper sweeps it
         from 4 us (one-hop propagation) up to 100 us.
         """
+        _require_positive("mtu_bytes", mtu_bytes)
         return cls(
             red=REDParams.paper_default(mtu_bytes),
             capacity=units.gbps_to_pps(capacity_gbps, mtu_bytes),
@@ -196,7 +207,7 @@ class TimelyParams:
 
     def __post_init__(self) -> None:
         _require_positive("capacity", self.capacity)
-        _require_positive("num_flows", self.num_flows)
+        _require_count("num_flows", self.num_flows)
         _require_fraction("ewma_alpha", self.ewma_alpha)
         _require_positive("delta", self.delta)
         _require_fraction("beta", self.beta)
@@ -208,6 +219,7 @@ class TimelyParams:
         _require_positive("min_rtt", self.min_rtt)
         _require_nonnegative("prop_delay", self.prop_delay)
         _require_positive("segment", self.segment)
+        _require_positive("mtu_bytes", self.mtu_bytes)
 
     @property
     def fair_share(self) -> float:
@@ -241,6 +253,7 @@ class TimelyParams:
                       mtu_bytes: int = units.DEFAULT_MTU_BYTES,
                       ) -> "TimelyParams":
         """Footnote-4 defaults of the paper (values recommended in [21])."""
+        _require_positive("mtu_bytes", mtu_bytes)
         return cls(
             capacity=units.gbps_to_pps(capacity_gbps, mtu_bytes),
             num_flows=num_flows,
@@ -348,6 +361,7 @@ class DCTCPParams:
         _require_positive("step_threshold", self.step_threshold)
         _require_positive("initial_window_packets",
                           self.initial_window_packets)
+        _require_positive("mtu_bytes", self.mtu_bytes)
 
     def step_red(self) -> "REDParams":
         """The step-marking profile as a (degenerate) RED ramp."""
@@ -391,6 +405,7 @@ class PIParams:
         millisecond-scale integral response, empirically stable for
         N up to ~64 flows at 40 Gbps.
         """
+        _require_positive("mtu_bytes", mtu_bytes)
         return cls(q_ref=units.kb_to_packets(q_ref_kb, mtu_bytes),
                    k1=1e-3, k2=0.02)
 
@@ -403,5 +418,6 @@ class PIParams:
         delta / (beta R)``), so the integrator can be proportionally
         faster than the DCQCN marker.
         """
+        _require_positive("mtu_bytes", mtu_bytes)
         return cls(q_ref=units.kb_to_packets(q_ref_kb, mtu_bytes),
                    k1=1e-2, k2=1.0)

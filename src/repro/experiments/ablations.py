@@ -29,7 +29,7 @@ from repro import units
 from repro.analysis.reporting import format_table
 from repro.core.fixedpoint.dcqcn import solve_fixed_point
 from repro.core.fluid import dde
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import (DCQCNParams, PatchedTimelyParams,
                                TimelyParams)
 from repro.core.stability.dcqcn_margin import dcqcn_phase_margin
@@ -114,7 +114,7 @@ def weight_halfwidth(halfwidths: Sequence[float] = (0.05, 0.25, 1.0),
             PatchedTimelyParams.paper_default(num_flows=2),
             weight_slope_halfwidth=halfwidth)
         mtu = patched.base.mtu_bytes
-        model = PatchedTimelyFluidModel(
+        model = TimelyFluidModel(
             patched,
             initial_rates=[units.gbps_to_pps(7, mtu),
                            units.gbps_to_pps(3, mtu)])

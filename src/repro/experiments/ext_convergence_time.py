@@ -26,7 +26,7 @@ from repro.analysis.reporting import format_table
 from repro.core.convergence.metrics import convergence_time
 from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import DCQCNFluidModel
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import DCQCNParams, PatchedTimelyParams
 
 
@@ -87,7 +87,7 @@ def run(join_time: float = 0.02,
     for label, newcomer_rate in (
             ("patched_timely (C/2 start)", base.capacity / 2.0),
             ("patched_timely (C/20 start)", base.capacity / 20.0)):
-        model_t = PatchedTimelyFluidModel(
+        model_t = TimelyFluidModel(
             patched,
             initial_rates=[base.capacity, newcomer_rate],
             start_times=[0.0, join_time])

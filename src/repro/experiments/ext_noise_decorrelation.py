@@ -16,7 +16,6 @@ from repro import units
 from repro.analysis.reporting import format_table
 from repro.core.convergence.metrics import jain_fairness, max_min_ratio
 from repro.core.fluid import dde
-from repro.core.fluid.noisy_timely import NoisyTimelyFluidModel
 from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import TimelyParams
 
@@ -44,11 +43,8 @@ def run(noise_amplitudes: Sequence[float] = (0.0, 4.0, 16.0, 64.0),
                units.gbps_to_pps(3.0, mtu)]
     window = duration / 5.0
     for amplitude in noise_amplitudes:
-        if amplitude == 0.0:
-            model = TimelyFluidModel(params, initial_rates=initial)
-        else:
-            model = NoisyTimelyFluidModel(
-                params, amplitude, seed=seed, initial_rates=initial)
+        model = TimelyFluidModel(params, initial_rates=initial,
+                                 noise_amplitude=amplitude, noise_seed=seed)
         trace = dde.integrate(model, duration, dt=1e-6,
                               record_stride=50)
         finals = [trace.tail_mean(f"r[{i}]", window) for i in range(2)]

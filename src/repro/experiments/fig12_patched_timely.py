@@ -16,7 +16,7 @@ from repro import units
 from repro.analysis.reporting import format_table
 from repro.core.convergence.metrics import jain_fairness
 from repro.core.fluid import dde
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import PatchedTimelyParams
 from repro.obs import health as _health
 
@@ -69,7 +69,7 @@ def run_asymmetric(capacity_gbps: float = 10.0,
     patched = PatchedTimelyParams.paper_default(
         capacity_gbps=capacity_gbps, num_flows=2)
     mtu = patched.base.mtu_bytes
-    model = PatchedTimelyFluidModel(
+    model = TimelyFluidModel(
         patched,
         initial_rates=[units.gbps_to_pps(7.0, mtu),
                        units.gbps_to_pps(3.0, mtu)])
@@ -103,7 +103,7 @@ def run_flow_sweep(flow_counts: Sequence[int] = (10, 40, 64),
         patched = PatchedTimelyParams.paper_default(
             capacity_gbps=capacity_gbps, num_flows=n)
         mtu = patched.base.mtu_bytes
-        model = PatchedTimelyFluidModel(patched)
+        model = TimelyFluidModel(patched)
         observer, monitor = _unfairness_watch(f"N={n}", n, window)
         trace = dde.integrate(model, duration, dt=dt,
                               record_stride=20, observer=observer)

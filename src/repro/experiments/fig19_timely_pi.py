@@ -16,7 +16,7 @@ from repro import units
 from repro.analysis.reporting import format_table
 from repro.core.convergence.metrics import jain_fairness, max_min_ratio
 from repro.core.fluid import dde
-from repro.core.fluid.pi import PatchedTimelyPIFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import PatchedTimelyParams, PIParams
 
 
@@ -56,8 +56,8 @@ def run(q_ref_kb: float = 300.0,
     mtu = patched.base.mtu_bytes
     pi = PIParams.for_timely(q_ref_kb)
     fair = patched.base.fair_share
-    model = PatchedTimelyPIFluidModel(
-        patched, pi, initial_rates=[fair, fair],
+    model = TimelyFluidModel(
+        patched, pi=pi, initial_rates=[fair, fair],
         start_times=[0.0, late_start])
     trace = dde.integrate(model, duration, dt=dt, record_stride=50)
     window = duration / 5.0

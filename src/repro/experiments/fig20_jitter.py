@@ -18,7 +18,7 @@ from repro.analysis.reporting import format_table
 from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import DCQCNFluidModel
 from repro.core.fluid.jitter import JitterProcess, no_jitter
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import DCQCNParams, PatchedTimelyParams
 
 
@@ -75,8 +75,7 @@ def run(jitter_us: float = 100.0,
         patched = PatchedTimelyParams.paper_default(
             capacity_gbps=capacity_gbps_timely, num_flows=num_flows)
         timely = dde.integrate(
-            PatchedTimelyFluidModel(patched,
-                                    feedback_jitter=timely_jitter),
+            TimelyFluidModel(patched, feedback_jitter=timely_jitter),
             duration, dt=dt, record_stride=10)
         mtu = patched.base.mtu_bytes
         rows.append(JitterRow(

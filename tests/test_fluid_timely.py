@@ -7,11 +7,7 @@ from repro import units
 from repro.core.fluid import dde
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import JitterProcess
-from repro.core.fluid.noisy_timely import NoisyTimelyFluidModel
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
-from repro.core.fluid.pi import PatchedTimelyPIFluidModel
-from repro.core.fluid.timely import (MIN_RATE, ModifiedTimelyFluidModel,
-                                     TimelyFluidModel)
+from repro.core.fluid.timely import MIN_RATE, TimelyFluidModel
 from repro.core.params import PatchedTimelyParams, PIParams, TimelyParams
 
 
@@ -45,10 +41,33 @@ class TestConstruction:
         ("initial_rates", dict(initial_rates=[np.inf, 1e5])),
         ("initial_queue", dict(initial_queue=np.nan)),
         ("start_times", dict(start_times=[0.0, np.nan])),
-    ], ids=["inf_rate", "nan_queue", "nan_start"])
+        ("noise_amplitude", dict(noise_amplitude=np.nan)),
+        ("noise_interval", dict(noise_amplitude=8.0, noise_interval=np.nan)),
+        ("initial_p", dict(
+            params=PatchedTimelyParams.paper_default(num_flows=2),
+            pi=PIParams.for_timely(50.0), initial_p=[0.1, np.nan])),
+    ], ids=["inf_rate", "nan_queue", "nan_start", "nan_noise",
+            "nan_noise_interval", "nan_initial_p"])
     def test_rejects_non_finite(self, timely_params, name, kwargs):
+        kwargs = {"params": timely_params, **kwargs}
         with pytest.raises(ValueError, match=name):
-            TimelyFluidModel(timely_params, **kwargs)
+            TimelyFluidModel(**kwargs)
+
+    @pytest.mark.parametrize("patched, kwargs", [
+        (True, dict(gradient_zero_increases=False)),
+        (True, dict(noise_amplitude=8.0)),
+        (True, dict(pi=PIParams.for_timely(50.0), noise_amplitude=8.0)),
+        (False, dict(pi=PIParams.for_timely(50.0))),
+        (False, dict(initial_p=[0.0, 0.0])),
+        (True, dict(initial_p=[0.0, 0.0])),
+    ], ids=["eq28_patched", "noise_patched", "noise_pi", "pi_plain",
+            "initial_p_plain", "initial_p_without_pi"])
+    def test_rejects_combinations_of_no_paper_system(self, timely_params,
+                                                     patched, kwargs):
+        params = PatchedTimelyParams.paper_default(num_flows=2) \
+            if patched else timely_params
+        with pytest.raises(ValueError, match="needs?"):
+            TimelyFluidModel(params, **kwargs)
 
 
 class TestEquation23And24:
@@ -115,7 +134,8 @@ class TestRateLawBranches:
         assert np.all(deriv > 0)
 
     def test_zero_gradient_freezes_in_modified(self, timely_params):
-        model = ModifiedTimelyFluidModel(timely_params)
+        model = TimelyFluidModel(timely_params,
+                                 gradient_zero_increases=False)
         queue = (timely_params.q_low + timely_params.q_high) / 2
         rates = np.array([timely_params.fair_share] * 2)
         tau = model.update_intervals(rates)
@@ -220,7 +240,7 @@ def ref_rate_derivative(model, delayed_queue, gradients, rates, tau_star):
     if delayed_queue > p.q_high:
         scale = 1.0 - p.q_high / delayed_queue
         return -(p.beta / tau_star) * scale * rates
-    if isinstance(model, PatchedTimelyFluidModel):
+    if model.patched is not None:
         w = ref_weights(model, gradients)
         q_ref = model.patched.q_ref
         error = (delayed_queue - q_ref) / q_ref
@@ -317,9 +337,9 @@ def ref_pi_derivatives(model, t, state, history):
 
 
 def ref_derivatives(model, t, state, history):
-    if isinstance(model, PatchedTimelyPIFluidModel):
+    if model.pi is not None:
         return ref_pi_derivatives(model, t, state, history)
-    if isinstance(model, NoisyTimelyFluidModel):
+    if model.noise_amplitude > 0.0:
         return ref_noisy_derivatives(model, t, state, history)
     return ref_timely_derivatives(model, t, state, history)
 
@@ -339,17 +359,21 @@ def _patched(num_flows=2):
 
 _MODELS = {
     "timely": lambda p, **kw: TimelyFluidModel(p, **kw),
-    "modified": lambda p, **kw: ModifiedTimelyFluidModel(p, **kw),
+    "modified": lambda p, **kw: TimelyFluidModel(
+        p, gradient_zero_increases=False, **kw),
     "staggered": lambda p, **kw: TimelyFluidModel(
         p, start_times=np.linspace(0.0, 1e-3, p.num_flows), **kw),
     "jitter": lambda p, **kw: TimelyFluidModel(
         p, feedback_jitter=JitterProcess(100e-6, seed=1), **kw),
-    "patched": lambda p, **kw: PatchedTimelyFluidModel(
-        _patched(p.num_flows), **kw),
-    "patched_pi": lambda p, **kw: PatchedTimelyPIFluidModel(
-        _patched(p.num_flows), PIParams.for_timely(50.0),
+    "patched": lambda p, **kw: TimelyFluidModel(_patched(p.num_flows), **kw),
+    "patched_jitter": lambda p, **kw: TimelyFluidModel(
+        _patched(p.num_flows), feedback_jitter=JitterProcess(100e-6, seed=1),
+        **kw),
+    "patched_pi": lambda p, **kw: TimelyFluidModel(
+        _patched(p.num_flows), pi=PIParams.for_timely(50.0),
         initial_p=np.linspace(-0.2, 0.3, p.num_flows), **kw),
-    "noisy": lambda p, **kw: NoisyTimelyFluidModel(p, 8.0, seed=2, **kw),
+    "noisy": lambda p, **kw: TimelyFluidModel(
+        p, noise_amplitude=8.0, noise_seed=2, **kw),
 }
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.fluid.history import UniformHistory
-from repro.core.fluid.noisy_timely import NoisyTimelyFluidModel
 from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import TimelyParams
 from repro.experiments import ext_noise_decorrelation
@@ -12,7 +11,8 @@ from repro.experiments import ext_noise_decorrelation
 
 def make_model(amplitude=16.0, **kw):
     params = TimelyParams.paper_default(num_flows=2)
-    return NoisyTimelyFluidModel(params, amplitude, seed=1, **kw)
+    return TimelyFluidModel(params, noise_amplitude=amplitude, noise_seed=1,
+                            **kw)
 
 
 class TestNoiseProcess:
@@ -32,7 +32,7 @@ class TestNoiseProcess:
 
     def test_zero_amplitude_matches_plain_model(self):
         params = TimelyParams.paper_default(num_flows=2)
-        noisy = NoisyTimelyFluidModel(params, 0.0, seed=1)
+        noisy = TimelyFluidModel(params, noise_amplitude=0.0, noise_seed=1)
         plain = TimelyFluidModel(params)
         state = plain.initial_state()
         state[plain.queue_index] = 100.0
@@ -57,6 +57,8 @@ class TestNoiseProcess:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_model(amplitude=-1.0)
+        with pytest.raises(ValueError, match="noise_interval"):
+            make_model(noise_interval=0.0)
 
 
 class TestDecorrelation:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -227,13 +228,14 @@ _CHECKED_FIELDS = {
     "REDParams": ("kmin", "kmax", "pmax"),
     "DCQCNParams": ("capacity", "num_flows", "g", "tau", "tau_prime",
                     "tau_star", "fast_recovery_steps", "byte_counter",
-                    "timer", "rate_ai", "rate_hai"),
+                    "timer", "rate_ai", "rate_hai", "mtu_bytes"),
     "TimelyParams": ("capacity", "num_flows", "ewma_alpha", "delta",
                      "beta", "t_low", "t_high", "min_rtt", "prop_delay",
-                     "segment"),
+                     "segment", "mtu_bytes"),
     "PatchedTimelyParams": ("q_ref", "beta_band",
                             "weight_slope_halfwidth"),
-    "DCTCPParams": ("g", "step_threshold", "initial_window_packets"),
+    "DCTCPParams": ("g", "step_threshold", "initial_window_packets",
+                    "mtu_bytes"),
     "PIParams": ("q_ref", "k1", "k2", "p_min", "p_max"),
 }
 
@@ -271,3 +273,40 @@ class TestNonFiniteRejected:
     def test_factory(self, build, field):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             build()
+
+
+class TestIntegerFlowCount:
+    """``num_flows`` sizes per-flow arrays: only a positive integer."""
+
+    @pytest.mark.parametrize("cls", [DCQCNParams, TimelyParams])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", 0, -1])
+    def test_rejects_non_integer(self, cls, bad):
+        with pytest.raises(ValueError, match=r"\bnum_flows\b"):
+            cls.paper_default(num_flows=bad)
+
+    @pytest.mark.parametrize("cls", [DCQCNParams, TimelyParams])
+    def test_accepts_numpy_integers(self, cls):
+        assert cls.paper_default(num_flows=np.int64(3)).num_flows == 3
+        swept = cls.paper_default().replace(num_flows=np.int32(4))
+        assert swept.fair_share == pytest.approx(swept.capacity / 4)
+
+
+class TestMTURejected:
+    """A non-positive MTU is named, not a ZeroDivisionError in units."""
+
+    @pytest.mark.parametrize("build", [
+        REDParams.paper_default, DCQCNParams.paper_default,
+        TimelyParams.paper_default, PatchedTimelyParams.paper_default,
+        lambda mtu_bytes: PIParams.for_dcqcn(100.0, mtu_bytes=mtu_bytes),
+        lambda mtu_bytes: PIParams.for_timely(100.0, mtu_bytes=mtu_bytes),
+    ], ids=["red", "dcqcn", "timely", "patched", "pi-dcqcn", "pi-timely"])
+    @pytest.mark.parametrize("mtu", [0, -1000])
+    def test_factory(self, build, mtu):
+        with pytest.raises(ValueError, match=r"\bmtu_bytes\b"):
+            build(mtu_bytes=mtu)
+
+    @pytest.mark.parametrize("cls", ["DCQCNParams", "TimelyParams",
+                                     "DCTCPParams"])
+    def test_field(self, cls):
+        with pytest.raises(ValueError, match=r"\bmtu_bytes\b"):
+            dataclasses.replace(_VALID[cls], mtu_bytes=0)

@@ -6,14 +6,14 @@ import pytest
 from repro import units
 from repro.core.fluid import dde
 from repro.core.fluid.history import UniformHistory
-from repro.core.fluid.patched_timely import PatchedTimelyFluidModel
-from repro.core.fluid.pi import DCQCNPIFluidModel, PatchedTimelyPIFluidModel
+from repro.core.fluid.pi import DCQCNPIFluidModel
+from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import PIParams, PatchedTimelyParams
 
 
 class TestWeights:
     def test_vectorized_matches_scalar(self, patched_params):
-        model = PatchedTimelyFluidModel(patched_params)
+        model = TimelyFluidModel(patched_params)
         gradients = np.array([-1.0, -0.1, 0.0, 0.1, 1.0])
         vectorized = model.weights(gradients)
         scalar = [patched_params.weight(g) for g in gradients]
@@ -22,7 +22,7 @@ class TestWeights:
 
 class TestRateLaw:
     def rate_deriv(self, params, queue, gradient):
-        model = PatchedTimelyFluidModel(params)
+        model = TimelyFluidModel(params)
         rates = np.full(2, params.base.fair_share)
         tau = model.update_intervals(rates)
         return model.rate_derivative(queue, np.full(2, gradient),
@@ -52,7 +52,7 @@ class TestRateLaw:
         deriv = self.rate_deriv(patched_params, queue, 0.0)
         base = patched_params.base
         rates = np.full(2, base.fair_share)
-        model = PatchedTimelyFluidModel(patched_params)
+        model = TimelyFluidModel(patched_params)
         tau = model.update_intervals(rates)
         expected = -(base.beta / tau) * (1 - base.q_high / queue) * rates
         assert deriv == pytest.approx(expected)
@@ -61,7 +61,7 @@ class TestRateLaw:
 class TestConvergence:
     def test_asymmetric_start_converges_to_fair(self, patched_params):
         mtu = patched_params.base.mtu_bytes
-        model = PatchedTimelyFluidModel(
+        model = TimelyFluidModel(
             patched_params,
             initial_rates=[units.gbps_to_pps(7, mtu),
                            units.gbps_to_pps(3, mtu)])
@@ -73,7 +73,7 @@ class TestConvergence:
                                    rel=0.05)
 
     def test_queue_converges_to_eq31(self, patched_params):
-        model = PatchedTimelyFluidModel(patched_params)
+        model = TimelyFluidModel(patched_params)
         trace = dde.integrate(model, 0.08, dt=1e-6, record_stride=20)
         assert trace.tail_mean("q", 0.01) == pytest.approx(
             patched_params.fixed_point_queue, rel=0.03)
@@ -83,7 +83,7 @@ class TestConvergence:
     def test_large_n_oscillates(self):
         """Fig. 12(c): beyond the Fig. 11 margin crossover."""
         patched = PatchedTimelyParams.paper_default(num_flows=40)
-        trace = dde.integrate(PatchedTimelyFluidModel(patched), 0.15,
+        trace = dde.integrate(TimelyFluidModel(patched), 0.15,
                               dt=1e-6, record_stride=50)
         rel = trace.tail_std("q", 0.03) / trace.tail_mean("q", 0.03)
         assert rel > 0.05
@@ -143,29 +143,28 @@ class TestDCQCNPIModel:
 class TestPatchedTimelyPIModel:
     def test_state_layout_appends_per_flow_p(self, patched_params):
         pi = PIParams.for_timely(300.0)
-        model = PatchedTimelyPIFluidModel(patched_params, pi)
+        model = TimelyFluidModel(patched_params, pi=pi)
         labels = model.state_labels()
         assert labels[-2:] == ["p[0]", "p[1]"]
 
     def test_initial_p_override(self, patched_params):
         pi = PIParams.for_timely(300.0)
-        model = PatchedTimelyPIFluidModel(patched_params, pi,
-                                          initial_p=[0.1, 0.4])
+        model = TimelyFluidModel(patched_params, pi=pi,
+                                 initial_p=[0.1, 0.4])
         state = model.initial_state()
         assert state[model.p_slice()] == pytest.approx([0.1, 0.4])
 
     def test_rejects_wrong_initial_p_shape(self, patched_params):
         pi = PIParams.for_timely(300.0)
         with pytest.raises(ValueError):
-            PatchedTimelyPIFluidModel(patched_params, pi,
-                                      initial_p=[0.1])
+            TimelyFluidModel(patched_params, pi=pi, initial_p=[0.1])
 
     def test_unequal_p_gives_unequal_rate_derivatives(self,
                                                       patched_params):
         pi = PIParams.for_timely(300.0)
-        model = PatchedTimelyPIFluidModel(patched_params, pi,
-                                          initial_p=[0.1, 0.4],
-                                          initial_queue=pi.q_ref)
+        model = TimelyFluidModel(patched_params, pi=pi,
+                                 initial_p=[0.1, 0.4],
+                                 initial_queue=pi.q_ref)
         state = model.initial_state()
         history = UniformHistory(0.0, 1e-6, state)
         deriv = model.derivatives(0.0, state, history)
@@ -177,8 +176,8 @@ class TestPatchedTimelyPIModel:
         """Theorem 6, delay side: delay bounded, fairness lost."""
         pi = PIParams.for_timely(300.0)
         fair = patched_params.base.fair_share
-        model = PatchedTimelyPIFluidModel(
-            patched_params, pi, initial_rates=[fair, fair],
+        model = TimelyFluidModel(
+            patched_params, pi=pi, initial_rates=[fair, fair],
             start_times=[0.0, 0.05])
         trace = dde.integrate(model, 0.4, dt=1e-6, record_stride=50)
         queue = trace.tail_mean("q", 0.05)

@@ -240,10 +240,9 @@ class TestPatchedTimelyMargins:
     def test_margin_matches_fluid_behaviour(self):
         """Linear verdicts agree with the nonlinear model's tail."""
         from repro.core.fluid import dde
-        from repro.core.fluid.patched_timely import \
-            PatchedTimelyFluidModel
+        from repro.core.fluid.timely import TimelyFluidModel
         stable = PatchedTimelyParams.paper_default(num_flows=10)
-        trace = dde.integrate(PatchedTimelyFluidModel(stable), 0.15,
+        trace = dde.integrate(TimelyFluidModel(stable), 0.15,
                               dt=1e-6, record_stride=50)
         rel_osc = trace.tail_std("q", 0.03) / trace.tail_mean("q", 0.03)
         assert patched_timely_phase_margin(stable).stable
