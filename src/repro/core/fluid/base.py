@@ -71,6 +71,16 @@ def require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_at_least(name: str, value: float, low: float,
+                     strict: bool = False) -> None:
+    """Like :func:`require_finite`, and ``value`` must be ``>= low``
+    (``> low`` when ``strict``)."""
+    require_finite(name, value)
+    if value < low or (strict and value == low):
+        relation = ">" if strict else ">="
+        raise ValueError(f"{name} must be {relation} {low}, got {value!r}")
+
+
 class FluidTrace:
     """Time series produced by integrating a :class:`FluidModel`.
 

@@ -28,7 +28,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel, require_finite
+from repro.core.fluid.base import (FluidModel, require_at_least,
+                                   require_finite)
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import no_jitter
 from repro.core.params import DCQCNParams
@@ -210,6 +211,7 @@ class DCQCNFluidModel(FluidModel):
         self.params = params
         self.n = params.num_flows
         self.line_rate = params.capacity if line_rate is None else line_rate
+        require_at_least("line_rate", self.line_rate, MIN_RATE)
         if initial_rates is None:
             self._initial_rates = np.full(self.n, self.line_rate)
         else:
@@ -222,15 +224,9 @@ class DCQCNFluidModel(FluidModel):
             if np.any(rates <= 0):
                 raise ValueError("initial rates must be positive")
             self._initial_rates = rates
-        require_finite("initial_queue", initial_queue)
-        if initial_queue < 0:
-            raise ValueError(
-                f"initial_queue must be >= 0, got {initial_queue}")
+        require_at_least("initial_queue", initial_queue, 0.0)
         self._initial_queue = float(initial_queue)
-        require_finite("marking_delay", marking_delay)
-        if marking_delay < 0:
-            raise ValueError(
-                f"marking_delay must be >= 0, got {marking_delay}")
+        require_at_least("marking_delay", marking_delay, 0.0)
         self.marking_delay = float(marking_delay)
         self.feedback_jitter = feedback_jitter
         self.extend_red = extend_red

@@ -18,8 +18,10 @@ Storage is a single preallocated 2-D ring of rows.  The integrator
 knows its step count up front and passes ``capacity`` so the buffer is
 sized exactly once; an unsized history still grows geometrically.  The
 lookup paths index the buffer directly: every right-hand-side
-evaluation makes one lookup per delayed term (two for DCQCN, N+1 for
-TIMELY with N flows), up to four evaluations per RK4 step.  Outside
+evaluation makes one lookup per delayed term (two for DCQCN; for
+TIMELY one for ``q(t - tau')`` plus one per distinct flow, so N+1 for
+N flows and two through the exchangeable core), up to four
+evaluations per RK4 step.  Outside
 the models' right-hand sides they are the largest cost of a fluid run,
 about a tenth of it (docs/PERFORMANCE.md, "Fluid layer").
 """

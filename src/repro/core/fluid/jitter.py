@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fluid.base import require_at_least
+
 
 class JitterProcess:
     """Deterministic piecewise-constant ``Uniform[0, amplitude]`` delay.
@@ -41,12 +43,9 @@ class JitterProcess:
 
     def __init__(self, amplitude: float, resample_interval: float = 10e-6,
                  seed: int = 0):
-        if amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {amplitude}")
-        if resample_interval <= 0:
-            raise ValueError(
-                f"resample_interval must be positive, got "
-                f"{resample_interval}")
+        require_at_least("amplitude", amplitude, 0.0)
+        require_at_least("resample_interval", resample_interval, 0.0,
+                         strict=True)
         self.amplitude = float(amplitude)
         self.resample_interval = float(resample_interval)
         self._rng = np.random.default_rng(seed)

@@ -57,11 +57,13 @@ one :class:`TimelyFluidModel`, fixed at construction:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+import copy
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel, require_finite
+from repro.core.fluid.base import (FluidModel, require_at_least,
+                                   require_finite)
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import JitterProcess, no_jitter
 from repro.core.params import PatchedTimelyParams, PIParams, TimelyParams
@@ -139,14 +141,8 @@ class TimelyFluidModel(FluidModel):
                  noise_amplitude: float = 0.0,
                  noise_interval: float = 30e-6,
                  noise_seed: int = 0):
-        require_finite("noise_amplitude", noise_amplitude)
-        if noise_amplitude < 0:
-            raise ValueError(
-                f"noise_amplitude must be >= 0, got {noise_amplitude}")
-        require_finite("noise_interval", noise_interval)
-        if noise_interval <= 0:
-            raise ValueError(
-                f"noise_interval must be positive, got {noise_interval}")
+        require_at_least("noise_amplitude", noise_amplitude, 0.0)
+        require_at_least("noise_interval", noise_interval, 0.0, strict=True)
         # Exactly the paper's five systems are reachable.
         if isinstance(params, PatchedTimelyParams):
             if not gradient_zero_increases or noise_amplitude > 0:
@@ -166,6 +162,8 @@ class TimelyFluidModel(FluidModel):
         self.gradient_zero_increases = bool(gradient_zero_increases)
         self.pi = pi
         self.line_rate = params.capacity if line_rate is None else line_rate
+        require_at_least("line_rate", self.line_rate, MIN_RATE)
+        require_at_least("mtu_packets", mtu_packets, 0.0, strict=True)
         if initial_rates is None:
             self._initial_rates = np.full(self.n, params.fair_share)
         else:
@@ -173,10 +171,7 @@ class TimelyFluidModel(FluidModel):
             if np.any(rates <= 0):
                 raise ValueError("initial rates must be positive")
             self._initial_rates = rates
-        require_finite("initial_queue", initial_queue)
-        if initial_queue < 0:
-            raise ValueError(
-                f"initial_queue must be >= 0, got {initial_queue}")
+        require_at_least("initial_queue", initial_queue, 0.0)
         self._initial_queue = float(initial_queue)
         self.feedback_jitter = feedback_jitter
         self.mtu_packets = float(mtu_packets)
@@ -207,17 +202,19 @@ class TimelyFluidModel(FluidModel):
         self._gradient_sl = slice(1, 1 + n)
         self._rate_sl = slice(1 + n, 1 + 2 * n)
         self._p_sl = slice(1 + 2 * n, 1 + 3 * n)
-        self._always_active = not np.any(self.start_times > 0.0)
+        # The start-time mask matters only before the last start; never
+        # when every flow starts at 0.
+        self._last_start = float(np.max(self.start_times)) \
+            if np.any(self.start_times > 0.0) else -np.inf
+        # N copies of the one rate, in the exchangeable core only.
+        self._copies = None
         # Per-column bounds for clamp(): [q, g, R] -> [0, inf),
         # unbounded, [MIN_RATE, line rate].  The p_i are internal
         # variables, free to go negative: unbounded too.
-        n_p = 0 if pi is None else n
-        self._lower = np.concatenate(
-            [[0.0], np.full(n, -np.inf), np.full(n, MIN_RATE),
-             np.full(n_p, -np.inf)])
-        self._upper = np.concatenate(
-            [[np.inf], np.full(n, np.inf),
-             np.full(n, float(self.line_rate)), np.full(n_p, np.inf)])
+        counts = [1, n, n, 0 if pi is None else n]
+        self._lower = np.repeat([0.0, -np.inf, MIN_RATE, -np.inf], counts)
+        self._upper = np.repeat(
+            [np.inf, np.inf, float(self.line_rate), np.inf], counts)
 
     def _per_flow(self, name: str, values: Sequence[float]) -> np.ndarray:
         """``values`` as a finite float array of shape ``(N,)``."""
@@ -257,21 +254,10 @@ class TimelyFluidModel(FluidModel):
         return state
 
     def state_labels(self) -> List[str]:
-        labels = ["q"]
-        labels += [f"g[{i}]" for i in range(self.n)]
-        labels += [f"r[{i}]" for i in range(self.n)]
-        if self.pi is not None:
-            labels += [f"p[{i}]" for i in range(self.n)]
-        return labels
+        blocks = "gr" if self.pi is None else "grp"
+        return ["q"] + [f"{b}[{i}]" for b in blocks for i in range(self.n)]
 
     # -- dynamics ------------------------------------------------------------
-
-    def update_intervals(self, rates: np.ndarray) -> np.ndarray:
-        """Eq. 23: ``tau*_i = max(Seg / R_i, D_minRTT)`` per flow."""
-        tau_star = np.maximum(rates, MIN_RATE)
-        np.divide(self.params.segment, tau_star, out=tau_star)
-        np.maximum(tau_star, self.params.min_rtt, out=tau_star)
-        return tau_star
 
     def feedback_delay(self, queue: float, t: float) -> float:
         """Eq. 24: ``tau' = q/C + MTU/C + D_prop`` plus any jitter."""
@@ -280,120 +266,102 @@ class TimelyFluidModel(FluidModel):
             + p.prop_delay
         return base + self.feedback_jitter(t)
 
-    def weights(self, gradients: np.ndarray) -> np.ndarray:
-        """Vectorized Eq. 30: linear ramp from 0 to 1 over g in [-1/4, 1/4]."""
-        half = self.patched.weight_slope_halfwidth
-        w = gradients / (2.0 * half)
-        w += 0.5
-        np.maximum(0.0, w, out=w)
-        np.minimum(1.0, w, out=w)
-        return w
-
-    def rate_derivative(self, delayed_queue: float, gradients: np.ndarray,
-                        rates: np.ndarray, tau_star: np.ndarray,
-                        feedback: Optional[np.ndarray] = None
-                        ) -> np.ndarray:
-        """Eq. 21, 28 or 29 following Algorithm 1's branch precedence.
-
-        ``feedback`` replaces Eq. 29's queue error ``e`` (the PI
-        variables ``p_i``); None uses ``e`` itself.
-        """
-        p = self.params
-        if delayed_queue < p.q_low:
-            return p.delta / tau_star
-        if delayed_queue > p.q_high:
-            scale = 1.0 - p.q_high / delayed_queue
-            return -(self._brake_beta / tau_star) * scale * rates
-        if self.patched is None:
-            increase = p.delta / tau_star
-            decrease = -(gradients * p.beta / tau_star) * rates
-            if self.gradient_zero_increases:
-                decreasing = gradients > 0.0
-            else:
-                decreasing = gradients >= 0.0
-            return np.where(decreasing, decrease, increase)
-        w = self.weights(gradients)
-        if feedback is None:
-            q_ref = self.patched.q_ref
-            feedback = (delayed_queue - q_ref) / q_ref
-        beta = self.patched.beta_band
-        return ((1.0 - w) * p.delta - w * beta * rates * feedback) / tau_star
-
     def active_flows(self, t: float) -> np.ndarray:
         """Boolean mask of flows whose start time has passed."""
         return t >= self.start_times
 
-    def measurement_noise(self, t: float) -> np.ndarray:
+    def measurement_noise(self, t: float) -> List[float]:
         """Zero-mean apparent-queue error per flow, packets."""
-        return np.array([process(t) - self.noise_amplitude
-                         for process in self._noise])
+        return [process(t) - self.noise_amplitude for process in self._noise]
 
     def derivatives(self, t: float, state: np.ndarray,
                     history: UniformHistory) -> np.ndarray:
-        # As in DCQCNFluidModel.derivatives: terms are built in place
-        # with each element's operation order kept (bit-identical to
-        # the direct transcription of Eqs. 20-24, 29 and 32).
-        p = self.params
-        queue = state.item(self.queue_index)
-        gradients = state[self._gradient_sl]
-        rates = state[self._rate_sl]
-
-        tau_star = self.update_intervals(rates)
-        tau_fb = self.feedback_delay(queue, t)
+        # One pass over the flows on Python floats: at these sizes
+        # numpy's per-call cost, not the arithmetic, would dominate.
+        # Each element keeps the operation order of the direct
+        # transcription of Eqs. 20-24, 29-30 and 32, so the results
+        # equal it bit for bit (docs/PERFORMANCE.md, "Fluid layer").
+        p, n, pi, patched = self.params, self.n, self.pi, self.patched
+        values = state.tolist()
+        queue = values[0]
+        base = t - self.feedback_delay(queue, t)
         component = history.component
-        delayed_queue = component(t - tau_fb, 0)
+        delayed_queue = component(base, 0)
 
         # Eq. 20: queue integrates the rate excess of the *active*
-        # flows, and cannot go negative.
-        if self._always_active:
-            active = None
-            dq = float(_add_reduce(rates)) - p.capacity
+        # flows, and cannot go negative.  The exchangeable core sums
+        # N copies of its one rate.
+        rates = self._copies
+        if rates is None:
+            rates = state[self._rate_sl]
         else:
+            rates.fill(values[2])
+        active = None
+        if t < self._last_start:
             active = self.active_flows(t)
-            dq = float(_add_reduce(rates[active])) - p.capacity
+            rates = rates[active]
+        dq = float(_add_reduce(rates)) - p.capacity
         if queue <= 0.0 and dq < 0.0:
             dq = 0.0
-        out = np.empty_like(state)
-        out[self.queue_index] = dq
 
-        # Eq. 22: EWMA'd normalized difference of two successive
-        # (delayed) queue observations, one update interval apart.
-        base = t - tau_fb
-        older = np.array([component(base - interval, 0)
-                          for interval in tau_star.tolist()])
-        dg = out[self._gradient_sl]
-        np.subtract(delayed_queue, older, out=dg)
-        feedback = None
-        pi = self.pi
+        # What every flow shares: Algorithm 1's guards on the delayed
+        # queue, and the feedback terms of Eqs. 29 and 32.
+        segment, min_rtt, alpha, delta = (p.segment, p.min_rtt,
+                                          p.ewma_alpha, p.delta)
+        c_min_rtt = p.capacity * p.min_rtt
+        below, above = delayed_queue < p.q_low, delayed_queue > p.q_high
+        if above:
+            scale = 1.0 - p.q_high / delayed_queue
+        if patched is not None:
+            two_half = 2.0 * patched.weight_slope_halfwidth
+            error = (delayed_queue - patched.q_ref) / patched.q_ref
         if pi is not None:
-            # Eq. 32 at the host: dp_i/dt = K1 de/dt + K2 e on the
-            # delay error seen through the feedback path (Eq. 24) and
-            # its slope over one update interval, both normalized by
-            # the reference.  No anti-windup clamp, so nothing forgets
-            # inter-host asymmetry.
-            feedback = state[self._p_sl]
-            dp = out[self._p_sl]
-            np.divide(dg, tau_star, out=dp)
-            dp /= pi.q_ref
-            dp *= pi.k1
-            dp += pi.k2 * ((delayed_queue - pi.q_ref) / pi.q_ref)
-        dg /= p.capacity * p.min_rtt
-        dg -= gradients
-        dg *= p.ewma_alpha / tau_star
+            k2_error = pi.k2 * ((delayed_queue - pi.q_ref) / pi.q_ref)
+        noise = None if self._noise is None else self.measurement_noise(t)
 
-        out[self._rate_sl] = self.rate_derivative(
-            delayed_queue, gradients, rates, tau_star, feedback)
+        dg, dr, dp = [], [], []
+        for i in range(n):
+            g, rate = values[1 + i], values[1 + n + i]
+            # Eq. 23: tau*_i = max(Seg / R_i, D_minRTT).
+            tau = segment / (MIN_RATE if rate < MIN_RATE else rate)
+            if tau < min_rtt:
+                tau = min_rtt
+            # Eq. 22: EWMA'd normalized difference of two successive
+            # (delayed) queue observations, one update interval apart;
+            # the noise perturbs the sampled difference.
+            diff = delayed_queue - component(base - tau, 0)
+            grad = (diff / c_min_rtt - g) * (alpha / tau)
+            if noise is not None:
+                grad += alpha / tau * noise[i] / c_min_rtt
+            dg.append(grad)
+            if pi is not None:
+                # Eq. 32 at the host: dp_i/dt = K1 de/dt + K2 e on the
+                # delay error seen through the feedback path (Eq. 24),
+                # both normalized by the reference.  No anti-windup
+                # clamp, so nothing forgets inter-host asymmetry.
+                dp.append(pi.k1 * (diff / tau / pi.q_ref) + k2_error)
+            # Eq. 21, 28 or 29 in Algorithm 1's branch order.
+            if below:
+                dr.append(delta / tau)
+            elif above:
+                dr.append(-(self._brake_beta / tau) * scale * rate)
+            elif patched is None:
+                if g > 0.0 or (g == 0.0 and not self.gradient_zero_increases):
+                    dr.append(-(g * p.beta / tau) * rate)
+                else:
+                    dr.append(delta / tau)
+            else:
+                # Eq. 30's ramp from 0 to 1 over g in [-1/4, 1/4]; the
+                # PI variables p_i replace Eq. 29's queue error.
+                w = g / two_half + 0.5
+                w = 0.0 if w < 0.0 else 1.0 if w > 1.0 else w
+                e = error if pi is None else values[1 + 2 * n + i]
+                dr.append(((1.0 - w) * delta
+                           - w * patched.beta_band * rate * e) / tau)
+        out = np.array([dq, *dg, *dr, *dp])
         if active is not None:
             # Flows that have not started yet keep their state frozen.
-            out[1:].reshape(-1, self.n)[:, ~active] = 0.0
-        if self._noise is not None:
-            # The noise perturbs the sampled queue difference in Eq. 22.
-            noise = p.ewma_alpha / tau_star
-            noise *= self.measurement_noise(t)
-            noise /= p.capacity * p.min_rtt
-            if active is not None:
-                noise[~active] = 0.0
-            dg += noise
+            out[1:].reshape(-1, n)[:, ~active] = 0.0
         return out
 
     def clamp(self, state: np.ndarray) -> np.ndarray:
@@ -401,3 +369,32 @@ class TimelyFluidModel(FluidModel):
         np.maximum(self._lower, state, out=state)
         np.minimum(self._upper, state, out=state)
         return state
+
+    def reduced(self, initial: np.ndarray
+                ) -> "Optional[Tuple[FluidModel, np.ndarray, np.ndarray]]":
+        """One representative flow when all ``N`` flows are exchangeable.
+
+        Flows that start together from bitwise-equal ``g`` and ``R``,
+        with no per-host PI state or per-flow noise, see the same
+        delayed queue and apply the same per-element operations, so
+        they stay bitwise equal for the whole run.  The 3-state core
+        ``[q, g, R]`` is this model's own right-hand side and clamp at
+        one flow; only Eq. 20's sum needs all ``N`` copies.  Bit
+        patterns are compared, so ``-0.0`` and ``0.0`` are told apart.
+        """
+        if (self._copies is not None or self.pi is not None
+                or self._noise is not None
+                or np.any(self.start_times > 0.0)):
+            return None
+        n = self.n
+        blocks = initial[1:].view(np.uint64).reshape(2, n)
+        if not np.all(blocks == blocks[:, :1]):
+            return None
+        core = copy.copy(self)
+        core.n = 1
+        core._copies = np.empty(n)
+        core._gradient_sl, core._rate_sl = slice(1, 2), slice(2, 3)
+        keep = [0, 1, 1 + n]
+        core._lower, core._upper = self._lower[keep], self._upper[keep]
+        columns = np.repeat(np.arange(3), [1, n, n])
+        return core, initial[keep], columns

@@ -130,11 +130,23 @@ class TestModelConstruction:
         ("initial_queue", dict(initial_queue=np.nan)),
         ("marking_delay", dict(marking_delay=np.nan)),
         ("start_times", dict(start_times=[0.0, np.nan])),
+        ("line_rate", dict(line_rate=np.nan)),
+        ("line_rate", dict(line_rate=np.inf)),
     ], ids=["nan_rate", "inf_rate", "nan_queue", "nan_marking_delay",
-            "nan_start"])
+            "nan_start", "nan_line_rate", "inf_line_rate"])
     def test_rejects_non_finite(self, dcqcn_params, name, kwargs):
         with pytest.raises(ValueError, match=name):
             DCQCNFluidModel(dcqcn_params, **kwargs)
+
+    @pytest.mark.parametrize("line_rate", [np.nan, np.inf, -5.0, 0.0, 0.5])
+    def test_rejects_bad_line_rate(self, dcqcn_params, line_rate):
+        # The clamp bounds every rate to [MIN_RATE, line_rate].
+        with pytest.raises(ValueError, match="line_rate"):
+            DCQCNFluidModel(dcqcn_params, line_rate=line_rate)
+        with pytest.raises(ValueError, match="line_rate"):
+            DCQCNPIFluidModel(dcqcn_params, PIParams.for_dcqcn(100.0),
+                              line_rate=line_rate)
+        DCQCNFluidModel(dcqcn_params, line_rate=MIN_RATE)
 
     def test_rejects_negative_marking_delay(self, dcqcn_params):
         with pytest.raises(ValueError):

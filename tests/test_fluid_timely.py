@@ -15,6 +15,32 @@ def make_history(state, dt=1e-6):
     return UniformHistory(0.0, dt, state)
 
 
+def flat_derivatives(model, queue=0.0, gradient=0.0, rate=None):
+    """``model.derivatives`` at t = 0 over a flat history.
+
+    Every flow has gradient ``gradient`` and rate ``rate`` (the initial
+    rates by default), and the history holds this state throughout,
+    so every delayed queue observation is ``queue`` and Eq. 22's
+    sampled difference is 0.
+    """
+    state = model.initial_state()
+    state[model.queue_index] = queue
+    state[model.gradient_slice()] = gradient
+    if rate is not None:
+        state[model.rate_slice()] = rate
+    return model.derivatives(0.0, state, make_history(state))
+
+
+def update_interval(model, rate):
+    """Eq. 23's ``tau*`` at ``rate``, read off the model's Eq. 22.
+
+    With a flat queue history, ``dg/dt = (0 - g) * alpha / tau*``, so
+    at ``g = -1`` the gradient derivative is ``alpha / tau*``.
+    """
+    dg = flat_derivatives(model, gradient=-1.0, rate=rate)
+    return model.params.ewma_alpha / dg[model.gradient_slice()][0]
+
+
 class TestConstruction:
     def test_state_layout(self, timely_params):
         model = TimelyFluidModel(timely_params)
@@ -46,12 +72,28 @@ class TestConstruction:
         ("initial_p", dict(
             params=PatchedTimelyParams.paper_default(num_flows=2),
             pi=PIParams.for_timely(50.0), initial_p=[0.1, np.nan])),
+        ("line_rate", dict(line_rate=np.nan)),
+        ("line_rate", dict(line_rate=np.inf)),
+        ("mtu_packets", dict(mtu_packets=np.nan)),
+        ("mtu_packets", dict(mtu_packets=np.inf)),
     ], ids=["inf_rate", "nan_queue", "nan_start", "nan_noise",
-            "nan_noise_interval", "nan_initial_p"])
+            "nan_noise_interval", "nan_initial_p", "nan_line_rate",
+            "inf_line_rate", "nan_mtu", "inf_mtu"])
     def test_rejects_non_finite(self, timely_params, name, kwargs):
         kwargs = {"params": timely_params, **kwargs}
         with pytest.raises(ValueError, match=name):
             TimelyFluidModel(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("line_rate", -5.0), ("line_rate", 0.0), ("line_rate", 0.5),
+        ("mtu_packets", 0.0), ("mtu_packets", -1.0),
+    ])
+    def test_rejects_out_of_range(self, timely_params, name, value):
+        # Rates are clamped to [MIN_RATE, line_rate]; Eq. 24's MTU term
+        # is a positive packet count.
+        with pytest.raises(ValueError, match=name):
+            TimelyFluidModel(timely_params, **{name: value})
+        TimelyFluidModel(timely_params, line_rate=MIN_RATE)
 
     @pytest.mark.parametrize("patched, kwargs", [
         (True, dict(gradient_zero_increases=False)),
@@ -73,15 +115,14 @@ class TestConstruction:
 class TestEquation23And24:
     def test_update_interval_floor_is_min_rtt(self, timely_params):
         model = TimelyFluidModel(timely_params)
-        fast = np.array([timely_params.capacity * 10])
-        assert model.update_intervals(fast)[0] == pytest.approx(
+        fast = timely_params.capacity * 10
+        assert update_interval(model, fast) == pytest.approx(
             timely_params.min_rtt)
 
     def test_update_interval_segment_bound(self, timely_params):
         model = TimelyFluidModel(timely_params)
-        slow = np.array([timely_params.segment
-                         / (2 * timely_params.min_rtt)])
-        assert model.update_intervals(slow)[0] == pytest.approx(
+        slow = timely_params.segment / (2 * timely_params.min_rtt)
+        assert update_interval(model, slow) == pytest.approx(
             2 * timely_params.min_rtt)
 
     def test_feedback_delay_grows_with_queue(self, timely_params):
@@ -100,12 +141,10 @@ class TestEquation23And24:
 class TestRateLawBranches:
     """Eq. 21's four branches, probed directly."""
 
-    def branch_rate(self, params, queue, gradient):
-        model = TimelyFluidModel(params)
-        rates = np.array([params.fair_share] * params.num_flows)
-        tau = model.update_intervals(rates)
-        gradients = np.full(params.num_flows, gradient)
-        return model.rate_derivative(queue, gradients, rates, tau)
+    def branch_rate(self, params, queue, gradient, **kwargs):
+        # Fair-share rates; the delayed queue is ``queue``.
+        model = TimelyFluidModel(params, **kwargs)
+        return flat_derivatives(model, queue, gradient)[model.rate_slice()]
 
     def test_below_t_low_increases(self, timely_params):
         deriv = self.branch_rate(timely_params,
@@ -134,12 +173,9 @@ class TestRateLawBranches:
         assert np.all(deriv > 0)
 
     def test_zero_gradient_freezes_in_modified(self, timely_params):
-        model = TimelyFluidModel(timely_params,
-                                 gradient_zero_increases=False)
         queue = (timely_params.q_low + timely_params.q_high) / 2
-        rates = np.array([timely_params.fair_share] * 2)
-        tau = model.update_intervals(rates)
-        deriv = model.rate_derivative(queue, np.zeros(2), rates, tau)
+        deriv = self.branch_rate(timely_params, queue, gradient=0.0,
+                                 gradient_zero_increases=False)
         # g = 0 lands on the decrease side, whose magnitude is g*beta*R = 0.
         assert np.all(deriv == pytest.approx(0.0))
 
@@ -433,3 +469,88 @@ class TestBitExactReference:
             got = model.clamp(state.copy())
             want = ref_clamp(model, state.copy())
             assert np.array_equal(got, want, equal_nan=True)
+
+
+# -- exchangeable flows -------------------------------------------------------
+
+#: Long enough for patched TIMELY at N = 64 to enter its Fig. 12
+#: limit cycle (the queue swings by ~200 packets from about 5 ms on).
+_CORE_HORIZON = 10e-3
+
+
+def _fair_start(name, num_flows):
+    params = TimelyParams.paper_default(capacity_gbps=10.0,
+                                        num_flows=num_flows)
+    return _MODELS[name](params)
+
+
+class TestExchangeableReduction:
+    """Identical flows integrate as one representative, bit for bit."""
+
+    @pytest.mark.parametrize("num_flows", [1, 10, 64])
+    @pytest.mark.parametrize("name", ["timely", "modified", "patched",
+                                      "patched_jitter"])
+    def test_core_trace_matches_reference(self, reference_rhs, name,
+                                          num_flows):
+        model = _fair_start(name, num_flows)
+        core, core_state, columns = model.reduced(model.initial_state())
+        assert len(core_state) == 3
+        assert np.array_equal(core_state[columns], model.initial_state())
+        got = dde.integrate(model, _CORE_HORIZON, dt=1e-6)
+        want = dde.integrate(
+            reference_rhs(_fair_start(name, num_flows), ref_derivatives,
+                          ref_clamp), _CORE_HORIZON, dt=1e-6)
+        assert got.labels == want.labels
+        assert np.array_equal(got.states, want.states)
+        if name == "patched" and num_flows == 64:
+            assert np.ptp(got.tail("q", 5e-3)) > 100.0
+
+    @pytest.mark.parametrize("name", ["staggered", "patched_pi", "noisy"])
+    def test_non_exchangeable_variants_fall_back(self, name):
+        model = _fair_start(name, 3)
+        assert model.reduced(model.initial_state()) is None
+
+    def test_unequal_rates_fall_back(self, timely_params):
+        model = TimelyFluidModel(timely_params,
+                                 initial_rates=[6e5, 6e5 + 1.0])
+        assert model.reduced(model.initial_state()) is None
+
+    def test_signed_zero_gradient_is_not_equal(self):
+        model = _fair_start("patched", 4)
+        state = model.initial_state()
+        assert model.reduced(state) is not None
+        state[model.gradient_slice().start + 2] = -0.0
+        assert model.reduced(state) is None
+
+    def test_observer_sees_full_layout(self, reference_rhs):
+        seen = {"core": [], "reference": []}
+
+        def recorder(key):
+            return lambda t, state: seen[key].append((t, state.copy()))
+
+        dde.integrate(_fair_start("patched", 4), 2e-4, dt=1e-6,
+                      observer=recorder("core"), observer_stride=7)
+        dde.integrate(reference_rhs(_fair_start("patched", 4),
+                                    ref_derivatives, ref_clamp),
+                      2e-4, dt=1e-6, observer=recorder("reference"),
+                      observer_stride=7)
+        assert len(seen["core"]) == len(seen["reference"]) == 28
+        for (t, got), (t_ref, want) in zip(seen["core"],
+                                           seen["reference"]):
+            assert t == t_ref
+            assert got.shape == (9,)
+            assert np.array_equal(got, want)
+
+    def test_failure_state_in_full_layout(self, reference_rhs):
+        failures = []
+        for model in (_fair_start("timely", 4),
+                      reference_rhs(_fair_start("timely", 4),
+                                    ref_derivatives, ref_clamp)):
+            with pytest.raises(dde.IntegrationError) as caught:
+                dde.integrate(model, 1e-4, dt=1e-6, max_retries=0,
+                              divergence_limit=1e3)
+            failures.append(caught.value.failure)
+        core, reference = failures
+        assert core.state.shape == (9,)
+        assert np.array_equal(core.state, reference.state)
+        assert str(core) == str(reference)

@@ -65,6 +65,17 @@ class TestJitterProcess:
         with pytest.raises(ValueError):
             JitterProcess(1e-6, resample_interval=0.0)
 
+    @pytest.mark.parametrize("name, args, kwargs", [
+        ("amplitude", (np.nan,), {}),
+        ("amplitude", (np.inf,), {}),
+        ("resample_interval", (1e-6,), dict(resample_interval=np.nan)),
+        ("resample_interval", (1e-6,), dict(resample_interval=np.inf)),
+    ], ids=["nan_amplitude", "inf_amplitude", "nan_interval",
+            "inf_interval"])
+    def test_rejects_non_finite(self, name, args, kwargs):
+        with pytest.raises(ValueError, match=name):
+            JitterProcess(*args, **kwargs)
+
     @given(st.floats(min_value=1e-7, max_value=1e-3),
            st.integers(min_value=0, max_value=1000))
     @settings(max_examples=50)

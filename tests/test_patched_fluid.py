@@ -11,22 +11,45 @@ from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import PIParams, PatchedTimelyParams
 
 
+def rate_derivatives(model, queue, gradients):
+    """The model's Eq. 29 rate derivatives at its initial rates.
+
+    The history is flat, so the delayed queue is ``queue``.
+    """
+    state = model.initial_state()
+    state[model.queue_index] = queue
+    state[model.gradient_slice()] = gradients
+    history = UniformHistory(0.0, 1e-6, state)
+    return model.derivatives(0.0, state, history)[model.rate_slice()]
+
+
+def update_intervals(params, rates):
+    """Eq. 23: ``tau*_i = max(Seg / R_i, D_minRTT)``."""
+    return np.maximum(params.base.segment / rates, params.base.min_rtt)
+
+
 class TestWeights:
-    def test_vectorized_matches_scalar(self, patched_params):
-        model = TimelyFluidModel(patched_params)
+    def test_vectorized_matches_scalar(self):
+        """The N-flow right-hand side applies the Eq. 30 ``w(g)``."""
         gradients = np.array([-1.0, -0.1, 0.0, 0.1, 1.0])
-        vectorized = model.weights(gradients)
-        scalar = [patched_params.weight(g) for g in gradients]
+        params = PatchedTimelyParams.paper_default(capacity_gbps=10.0,
+                                                   num_flows=5)
+        base = params.base
+        model = TimelyFluidModel(params)
+        queue = 2.0 * params.q_ref  # in band: Eq. 29's error e = 1
+        rates = np.full(5, base.fair_share)
+        dr = rate_derivatives(model, queue, gradients)
+        # Eq. 29 at e = 1, dR tau* = delta - w (delta + beta R), for w.
+        tau = update_intervals(params, rates)
+        vectorized = (base.delta - dr * tau) \
+            / (base.delta + params.beta_band * rates)
+        scalar = [params.weight(g) for g in gradients]
         assert vectorized == pytest.approx(scalar)
 
 
 class TestRateLaw:
     def rate_deriv(self, params, queue, gradient):
-        model = TimelyFluidModel(params)
-        rates = np.full(2, params.base.fair_share)
-        tau = model.update_intervals(rates)
-        return model.rate_derivative(queue, np.full(2, gradient),
-                                     rates, tau)
+        return rate_derivatives(TimelyFluidModel(params), queue, gradient)
 
     def test_stationary_at_eq31_queue(self, patched_params):
         deriv = self.rate_deriv(patched_params,
@@ -52,8 +75,7 @@ class TestRateLaw:
         deriv = self.rate_deriv(patched_params, queue, 0.0)
         base = patched_params.base
         rates = np.full(2, base.fair_share)
-        model = TimelyFluidModel(patched_params)
-        tau = model.update_intervals(rates)
+        tau = update_intervals(patched_params, rates)
         expected = -(base.beta / tau) * (1 - base.q_high / queue) * rates
         assert deriv == pytest.approx(expected)
 
