@@ -32,7 +32,6 @@ from repro.core.fixedpoint.timely import patched_fixed_point
 from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import DCQCNFluidModel
 from repro.core.fluid.dctcp import DCTCPFluidModel
-from repro.core.fluid.pi import DCQCNPIFluidModel
 from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import (DCQCNParams, DCTCPParams, PIParams,
                                PatchedTimelyParams, REDParams,
@@ -44,7 +43,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DCQCNFluidModel",
-    "DCQCNPIFluidModel",
     "DCQCNParams",
     "DCTCPFluidModel",
     "DCTCPParams",

@@ -1,15 +1,18 @@
 """Common interface for the fluid models and their integration traces.
 
-Every fluid model in this package (DCQCN, TIMELY, patched TIMELY, and
-the PI variants) implements :class:`FluidModel`: it owns a parameter
-set, defines an initial state vector, and evaluates the delayed
-right-hand side given a :class:`~repro.core.fluid.history.UniformHistory`
-of past states.  The integrator in :mod:`repro.core.fluid.dde` drives
-any such model and returns a :class:`FluidTrace`.
+Every fluid model in this package (DCQCN, TIMELY and DCTCP, each with
+its variants as constructor data) implements :class:`FluidModel`: it
+owns a parameter set, defines an initial state vector and the bounds of
+its physical domain, and evaluates the delayed right-hand side on a
+list of Python floats given a
+:class:`~repro.core.fluid.history.UniformHistory` of past states.  The
+integrator in :mod:`repro.core.fluid.dde` drives any such model and
+returns a :class:`FluidTrace`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,21 +24,26 @@ class FluidModel:
     """Delay-ODE system ``dy/dt = f(t, y, history)``.
 
     Subclasses must implement :meth:`initial_state`,
-    :meth:`derivatives`, and :meth:`state_labels`.  ``clamp`` may be
-    overridden to enforce physical constraints (non-negative queues and
-    rates) after each step; the default is the identity.
+    :meth:`derivatives`, and :meth:`state_labels`.  :meth:`bounds` may
+    be overridden to declare physical constraints (non-negative queues,
+    rates within the line rate); the integrator applies them to every
+    stage and every accepted step.  The default is unbounded.
     """
 
     def initial_state(self) -> np.ndarray:
         """State vector at t=0 (also the constant pre-history)."""
         raise NotImplementedError
 
-    def derivatives(self, t: float, state: np.ndarray,
-                    history: UniformHistory) -> np.ndarray:
+    def derivatives(self, t: float, state: List[float],
+                    history: UniformHistory) -> List[float]:
         """Evaluate the right-hand side at time ``t``.
 
-        ``history`` resolves delayed terms such as ``p(t - tau*)``;
-        implementations must not mutate ``state``.
+        ``state`` is a list of Python floats in :meth:`state_labels`
+        order, and so is the returned derivative: at the paper's sizes
+        (a handful to a few dozen components) numpy's per-call cost
+        would dominate the arithmetic.  ``history`` resolves delayed
+        terms such as ``p(t - tau*)``; implementations must not mutate
+        ``state``.
         """
         raise NotImplementedError
 
@@ -43,9 +51,17 @@ class FluidModel:
         """Human-readable name for each state component, in order."""
         raise NotImplementedError
 
-    def clamp(self, state: np.ndarray) -> np.ndarray:
-        """Project the state back into its physical domain (in place ok)."""
-        return state
+    def bounds(self) -> Tuple[List[float], List[float]]:
+        """Per-component ``(lower, upper)`` limits of the physical domain.
+
+        The integrator maps each component ``x`` to ``lower`` when
+        ``lower > x`` and then to ``upper`` when ``upper < x``, which
+        passes NaN through and returns the same zero as
+        ``np.minimum(upper, np.maximum(lower, x))``.  ``-inf``/``inf``
+        leave a side unbounded, as the default does for every component.
+        """
+        size = len(self.state_labels())
+        return [-math.inf] * size, [math.inf] * size
 
     def reduced(self, initial: np.ndarray
                 ) -> "Optional[Tuple[FluidModel, np.ndarray, np.ndarray]]":
@@ -60,6 +76,27 @@ class FluidModel:
         return None
 
 
+#: ``np.sum`` without its Python wrapper; the same pairwise summation.
+_add_reduce = np.add.reduce
+
+
+def flow_sum(values: Sequence[float]) -> float:
+    """The sum of per-flow values, rounded as ``np.add.reduce`` rounds it.
+
+    The models' per-flow sums (Eq. 4's and Eq. 20's rates, DCTCP's
+    windows) keep numpy's pairwise order (docs/PERFORMANCE.md, "Fluid
+    layer", rule 2).  With one or two terms that order is one
+    addition: numpy adds the first term to the sum of the rest, which
+    starts from ``0.0``, so those skip numpy's per-call cost.
+    """
+    size = len(values)
+    if size == 2:
+        return values[0] + (0.0 + values[1])
+    if size == 1:
+        return values[0]
+    return float(_add_reduce(values))
+
+
 def require_finite(name: str, value) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is finite.
 
@@ -69,6 +106,17 @@ def require_finite(name: str, value) -> None:
     """
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def per_flow(name: str, values: Sequence[float], size: int) -> np.ndarray:
+    """``values`` as a finite float array of shape ``(size,)``, or a
+    ``ValueError`` naming ``name``."""
+    array = np.asarray(values, dtype=float)
+    if array.shape != (size,):
+        raise ValueError(
+            f"{name} must have shape ({size},), got {array.shape}")
+    require_finite(name, array)
+    return array
 
 
 def require_at_least(name: str, value: float, low: float,

@@ -23,14 +23,16 @@ in the paper's taxonomy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fluid.base import FluidModel, require_finite
+from repro.core.fluid.base import (FluidModel, flow_sum, per_flow,
+                                   require_finite)
 from repro.core.fluid.history import UniformHistory
 
-#: Windows below one packet stall the model; clamp like the protocols do.
+#: Windows below one packet stall the model; bound them like the
+#: protocols do.
 MIN_WINDOW = 1.0
 
 
@@ -90,12 +92,8 @@ class DCTCPFluidModel(FluidModel):
             self._initial_windows = np.full(num_flows,
                                             max(bdp_share, MIN_WINDOW))
         else:
-            windows = np.asarray(initial_windows, dtype=float)
-            if windows.shape != (num_flows,):
-                raise ValueError(
-                    f"initial_windows must have shape ({num_flows},), "
-                    f"got {windows.shape}")
-            require_finite("initial_windows", windows)
+            windows = per_flow("initial_windows", initial_windows,
+                               num_flows)
             if np.any(windows < MIN_WINDOW):
                 raise ValueError(
                     f"windows must be >= {MIN_WINDOW} packet")
@@ -104,12 +102,6 @@ class DCTCPFluidModel(FluidModel):
             raise ValueError(
                 f"initial_queue must be >= 0, got {initial_queue}")
         self._initial_queue = float(initial_queue)
-        # Per-column bounds for clamp(): [q, alpha, w] -> [0, inf),
-        # [0, 1], [MIN_WINDOW, inf).
-        self._lower = np.concatenate(
-            [[0.0], np.zeros(num_flows), np.full(num_flows, MIN_WINDOW)])
-        self._upper = np.concatenate(
-            [[np.inf], np.ones(num_flows), np.full(num_flows, np.inf)])
 
     # -- state layout ---------------------------------------------------------
 
@@ -136,6 +128,12 @@ class DCTCPFluidModel(FluidModel):
         labels += [f"w[{i}]" for i in range(self.n)]
         return labels
 
+    def bounds(self) -> Tuple[List[float], List[float]]:
+        # [q, alpha, w] -> [0, inf), [0, 1], [MIN_WINDOW, inf).
+        n = self.n
+        return ([0.0] + [0.0] * n + [MIN_WINDOW] * n,
+                [np.inf] + [1.0] * n + [np.inf] * n)
+
     # -- dynamics -------------------------------------------------------------
 
     def rtt(self, queue: float) -> float:
@@ -146,32 +144,25 @@ class DCTCPFluidModel(FluidModel):
         """Step marking: everything above K is marked."""
         return 1.0 if queue > self.threshold else 0.0
 
-    def derivatives(self, t: float, state: np.ndarray,
-                    history: UniformHistory) -> np.ndarray:
-        queue = state[self.queue_index]
-        alphas = state[self.alpha_slice()]
-        windows = state[self.window_slice()]
-
+    def derivatives(self, t: float, state: List[float],
+                    history: UniformHistory) -> List[float]:
+        # One pass over the flows on Python floats, in the operation
+        # order of the equations in the module docstring.
+        n = self.n
+        queue = state[0]
         rtt_now = self.rtt(queue)
         delayed_queue = history.component(t - rtt_now, self.queue_index)
         p_delayed = self.marking(delayed_queue)
 
-        dq = float(np.sum(windows)) / rtt_now - self.capacity
+        dq = flow_sum(state[1 + n:1 + 2 * n]) / rtt_now - self.capacity
         if queue <= 0.0 and dq < 0.0:
             dq = 0.0
 
-        dalpha = self.g / rtt_now * (p_delayed - alphas)
-        dw = (1.0 / rtt_now
-              - windows * alphas / (2.0 * rtt_now) * p_delayed)
-
-        out = np.empty_like(state)
-        out[self.queue_index] = dq
-        out[self.alpha_slice()] = dalpha
-        out[self.window_slice()] = dw
-        return out
-
-    def clamp(self, state: np.ndarray) -> np.ndarray:
-        # Bound first, as in DCQCNFluidModel.clamp.
-        np.maximum(self._lower, state, out=state)
-        np.minimum(self._upper, state, out=state)
-        return state
+        alpha_gain = self.g / rtt_now
+        two_rtt = 2.0 * rtt_now
+        inv_rtt = 1.0 / rtt_now
+        dalpha, dw = [], []
+        for alpha, window in zip(state[1:1 + n], state[1 + n:1 + 2 * n]):
+            dalpha.append(alpha_gain * (p_delayed - alpha))
+            dw.append(inv_rtt - window * alpha / two_rtt * p_delayed)
+        return [dq, *dalpha, *dw]

@@ -14,21 +14,20 @@ search.  Queries earlier than the start time return the initial state
 (constant pre-history), which matches the paper's simulations where
 flows start with fixed initial rates and an empty queue.
 
-Storage is a single preallocated 2-D ring of rows.  The integrator
+Storage is a single preallocated 2-D array of rows.  The integrator
 knows its step count up front and passes ``capacity`` so the buffer is
 sized exactly once; an unsized history still grows geometrically.  The
-lookup paths index the buffer directly: every right-hand-side
-evaluation makes one lookup per delayed term (two for DCQCN; for
-TIMELY one for ``q(t - tau')`` plus one per distinct flow, so N+1 for
-N flows and two through the exchangeable core), up to four
-evaluations per RK4 step.  Outside
-the models' right-hand sides they are the largest cost of a fluid run,
-about a tenth of it (docs/PERFORMANCE.md, "Fluid layer").
+one lookup, :meth:`UniformHistory.component`, reads one component of
+the buffer as a Python float: every right-hand-side evaluation makes
+one lookup per delayed term and distinct flow (for DCQCN the delayed
+marking input plus one ``R_C`` per flow; for TIMELY ``q(t - tau')``
+plus one older queue per flow; two of each through the exchangeable
+cores), up to four evaluations per RK4 step.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +55,7 @@ class UniformHistory:
         grow-and-copy from the stepping loop.
     """
 
-    __slots__ = ("_t0", "_dt", "_dim", "_capacity", "_data",
+    __slots__ = ("_t0", "_dt", "_dim", "_capacity", "_data", "_rows",
                  "_count")
 
     def __init__(self, t0: float, dt: float, initial_state: np.ndarray,
@@ -76,6 +75,9 @@ class UniformHistory:
         self._capacity = int(capacity)
         self._data = np.empty((self._capacity, self._dim), dtype=float)
         self._data[0] = state
+        # Indexing a memoryview of the buffer yields Python floats,
+        # more cheaply than ``ndarray.item``.
+        self._rows = memoryview(self._data)
         self._count = 1
 
     @property
@@ -101,8 +103,9 @@ class UniformHistory:
     def __len__(self) -> int:
         return self._count
 
-    def append(self, state: np.ndarray) -> None:
-        """Record the state at the next grid point."""
+    def append(self, state: "Sequence[float]") -> None:
+        """Record the state (a list of floats or a 1-D array) at the
+        next grid point."""
         count = self._count
         if count == self._capacity:
             # Grow geometrically; only reached when the caller gave no
@@ -111,79 +114,33 @@ class UniformHistory:
             grown = np.empty((self._capacity, self._dim), dtype=float)
             grown[:count] = self._data[:count]
             self._data = grown
+            self._rows = memoryview(grown)
         self._data[count] = state
         self._count = count + 1
-
-    def __call__(self, t: float) -> np.ndarray:
-        """State at time ``t``; constant before ``t0``, clamped after the end.
-
-        Values between grid points are linearly interpolated.  Clamping
-        at the newest sample lets Runge-Kutta stages evaluate delayed
-        terms that land (by at most one step) past the recorded history;
-        with delays >= dt this clamp is exact to first order.
-        """
-        data = self._data
-        offset = (t - self._t0) / self._dt
-        if offset <= 0.0:
-            return data[0].copy()
-        last = self._count - 1
-        if offset >= last:
-            return data[last].copy()
-        lo = int(offset)
-        frac = offset - lo
-        if frac == 0.0:
-            return data[lo].copy()
-        return (1.0 - frac) * data[lo] + frac * data[lo + 1]
-
-    def interpolate(self, t: float, columns: slice) -> np.ndarray:
-        """Interpolated lookup restricted to a column slice.
-
-        The multi-flow models only need a few components of the
-        delayed state (e.g. the ``R_C`` block); interpolating just
-        those columns skips work proportional to the untouched part of
-        the state vector.  Semantics match ``self(t)[columns]``
-        exactly, including the pre-history and end clamps.
-        """
-        data = self._data
-        offset = (t - self._t0) / self._dt
-        if offset <= 0.0:
-            return data[0, columns].copy()
-        last = self._count - 1
-        if offset >= last:
-            return data[last, columns].copy()
-        lo = int(offset)
-        frac = offset - lo
-        if frac == 0.0:
-            return data[lo, columns].copy()
-        return ((1.0 - frac) * data[lo, columns]
-                + frac * data[lo + 1, columns])
 
     def component(self, t: float, index: int) -> float:
         """Scalar lookup of one state component at time ``t``.
 
-        Cheaper than ``self(t)[index]`` because it avoids building the
-        full interpolated vector; the fluid models call this in their
-        inner loops for delayed queue values.  ``item`` hands back
-        Python floats, whose arithmetic is the same IEEE double
-        arithmetic without numpy's per-scalar overhead.
+        Constant before ``t0`` and clamped at the newest sample, which
+        lets Runge-Kutta stages evaluate delayed terms that land (by at
+        most one step) past the recorded history; with delays >= dt
+        this clamp is exact to first order.  Values between grid points
+        are linearly interpolated.  The buffer is read as Python
+        floats, whose arithmetic is the same IEEE double arithmetic
+        without numpy's per-scalar overhead.
         """
-        item = self._data.item
+        rows = self._rows
         offset = (t - self._t0) / self._dt
         if offset <= 0.0:
-            return item(0, index)
+            return rows[0, index]
         last = self._count - 1
         if offset >= last:
-            return item(last, index)
+            return rows[last, index]
         lo = int(offset)
         frac = offset - lo
         if frac == 0.0:
-            return item(lo, index)
-        return (1.0 - frac) * item(lo, index) + frac * item(lo + 1, index)
-
-    def as_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Return ``(times, states)`` copies of the full recorded history."""
-        times = self._t0 + self._dt * np.arange(self._count)
-        return times, self._data[:self._count].copy()
+            return rows[lo, index]
+        return (1.0 - frac) * rows[lo, index] + frac * rows[lo + 1, index]
 
     def strided_view(self, stride: int) -> "tuple[np.ndarray, np.ndarray]":
         """``(times, states)`` of every ``stride``-th sample, as copies.

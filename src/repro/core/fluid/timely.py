@@ -62,8 +62,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fluid.base import (FluidModel, require_at_least,
-                                   require_finite)
+from repro.core.fluid.base import (FluidModel, flow_sum, per_flow,
+                                   require_at_least)
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import JitterProcess, no_jitter
 from repro.core.params import PatchedTimelyParams, PIParams, TimelyParams
@@ -167,7 +167,7 @@ class TimelyFluidModel(FluidModel):
         if initial_rates is None:
             self._initial_rates = np.full(self.n, params.fair_share)
         else:
-            rates = self._per_flow("initial_rates", initial_rates)
+            rates = per_flow("initial_rates", initial_rates, self.n)
             if np.any(rates <= 0):
                 raise ValueError("initial rates must be positive")
             self._initial_rates = rates
@@ -178,12 +178,12 @@ class TimelyFluidModel(FluidModel):
         if start_times is None:
             self.start_times = np.zeros(self.n)
         else:
-            starts = self._per_flow("start_times", start_times)
+            starts = per_flow("start_times", start_times, self.n)
             if np.any(starts < 0):
                 raise ValueError("start times must be >= 0")
             self.start_times = starts
         self._initial_p = np.zeros(self.n) if initial_p is None \
-            else self._per_flow("initial_p", initial_p)
+            else per_flow("initial_p", initial_p, self.n)
         # The T_high brake: base beta, but the gentle band gain under
         # PI -- an 0.8-strength cut fighting the integral controller
         # produces a crash/ramp limit cycle that buries the fairness
@@ -197,33 +197,12 @@ class TimelyFluidModel(FluidModel):
                           resample_interval=noise_interval,
                           seed=noise_seed + i)
             for i in range(self.n)]
-        # Built once: consulted on every derivative evaluation.
-        n = self.n
-        self._gradient_sl = slice(1, 1 + n)
-        self._rate_sl = slice(1 + n, 1 + 2 * n)
-        self._p_sl = slice(1 + 2 * n, 1 + 3 * n)
         # The start-time mask matters only before the last start; never
         # when every flow starts at 0.
         self._last_start = float(np.max(self.start_times)) \
             if np.any(self.start_times > 0.0) else -np.inf
         # N copies of the one rate, in the exchangeable core only.
         self._copies = None
-        # Per-column bounds for clamp(): [q, g, R] -> [0, inf),
-        # unbounded, [MIN_RATE, line rate].  The p_i are internal
-        # variables, free to go negative: unbounded too.
-        counts = [1, n, n, 0 if pi is None else n]
-        self._lower = np.repeat([0.0, -np.inf, MIN_RATE, -np.inf], counts)
-        self._upper = np.repeat(
-            [np.inf, np.inf, float(self.line_rate), np.inf], counts)
-
-    def _per_flow(self, name: str, values: Sequence[float]) -> np.ndarray:
-        """``values`` as a finite float array of shape ``(N,)``."""
-        array = np.asarray(values, dtype=float)
-        if array.shape != (self.n,):
-            raise ValueError(
-                f"{name} must have shape ({self.n},), got {array.shape}")
-        require_finite(name, array)
-        return array
 
     # -- state vector layout -------------------------------------------------
 
@@ -234,28 +213,39 @@ class TimelyFluidModel(FluidModel):
 
     def gradient_slice(self) -> slice:
         """Columns holding the per-flow RTT gradients ``g_i``."""
-        return self._gradient_sl
+        return slice(1, 1 + self.n)
 
     def rate_slice(self) -> slice:
         """Columns holding the per-flow rates ``R_i``."""
-        return self._rate_sl
+        return slice(1 + self.n, 1 + 2 * self.n)
 
     def p_slice(self) -> slice:
         """Columns holding the per-host PI variables ``p_i`` (with ``pi``)."""
-        return self._p_sl
+        return slice(1 + 2 * self.n, 1 + 3 * self.n)
 
     def initial_state(self) -> np.ndarray:
-        state = np.empty(len(self._lower))
+        state = np.empty(len(self.state_labels()))
         state[self.queue_index] = self._initial_queue
         state[self.gradient_slice()] = 0.0
         state[self.rate_slice()] = self._initial_rates
         if self.pi is not None:
-            state[self._p_sl] = self._initial_p
+            state[self.p_slice()] = self._initial_p
         return state
 
     def state_labels(self) -> List[str]:
         blocks = "gr" if self.pi is None else "grp"
         return ["q"] + [f"{b}[{i}]" for b in blocks for i in range(self.n)]
+
+    def bounds(self) -> Tuple[List[float], List[float]]:
+        # [q, g, R] -> [0, inf), unbounded, [MIN_RATE, line rate].  The
+        # p_i are internal variables, free to go negative: unbounded.
+        n, inf = self.n, np.inf
+        lower = [0.0] + [-inf] * n + [MIN_RATE] * n
+        upper = [inf] + [inf] * n + [float(self.line_rate)] * n
+        if self.pi is not None:
+            lower += [-inf] * n
+            upper += [inf] * n
+        return lower, upper
 
     # -- dynamics ------------------------------------------------------------
 
@@ -274,16 +264,15 @@ class TimelyFluidModel(FluidModel):
         """Zero-mean apparent-queue error per flow, packets."""
         return [process(t) - self.noise_amplitude for process in self._noise]
 
-    def derivatives(self, t: float, state: np.ndarray,
-                    history: UniformHistory) -> np.ndarray:
+    def derivatives(self, t: float, state: List[float],
+                    history: UniformHistory) -> List[float]:
         # One pass over the flows on Python floats: at these sizes
         # numpy's per-call cost, not the arithmetic, would dominate.
         # Each element keeps the operation order of the direct
         # transcription of Eqs. 20-24, 29-30 and 32, so the results
         # equal it bit for bit (docs/PERFORMANCE.md, "Fluid layer").
         p, n, pi, patched = self.params, self.n, self.pi, self.patched
-        values = state.tolist()
-        queue = values[0]
+        queue = state[0]
         base = t - self.feedback_delay(queue, t)
         component = history.component
         delayed_queue = component(base, 0)
@@ -291,16 +280,17 @@ class TimelyFluidModel(FluidModel):
         # Eq. 20: queue integrates the rate excess of the *active*
         # flows, and cannot go negative.  The exchangeable core sums
         # N copies of its one rate.
-        rates = self._copies
-        if rates is None:
-            rates = state[self._rate_sl]
-        else:
-            rates.fill(values[2])
+        copies = self._copies
         active = None
-        if t < self._last_start:
-            active = self.active_flows(t)
-            rates = rates[active]
-        dq = float(_add_reduce(rates)) - p.capacity
+        if copies is not None:
+            copies.fill(state[2])
+            dq = float(_add_reduce(copies)) - p.capacity
+        else:
+            rates = state[1 + n:1 + 2 * n]
+            if t < self._last_start:
+                active = self.active_flows(t).tolist()
+                rates = [rate for rate, on in zip(rates, active) if on]
+            dq = flow_sum(rates) - p.capacity
         if queue <= 0.0 and dq < 0.0:
             dq = 0.0
 
@@ -321,7 +311,7 @@ class TimelyFluidModel(FluidModel):
 
         dg, dr, dp = [], [], []
         for i in range(n):
-            g, rate = values[1 + i], values[1 + n + i]
+            g, rate = state[1 + i], state[1 + n + i]
             # Eq. 23: tau*_i = max(Seg / R_i, D_minRTT).
             tau = segment / (MIN_RATE if rate < MIN_RATE else rate)
             if tau < min_rtt:
@@ -355,20 +345,17 @@ class TimelyFluidModel(FluidModel):
                 # PI variables p_i replace Eq. 29's queue error.
                 w = g / two_half + 0.5
                 w = 0.0 if w < 0.0 else 1.0 if w > 1.0 else w
-                e = error if pi is None else values[1 + 2 * n + i]
+                e = error if pi is None else state[1 + 2 * n + i]
                 dr.append(((1.0 - w) * delta
                            - w * patched.beta_band * rate * e) / tau)
-        out = np.array([dq, *dg, *dr, *dp])
         if active is not None:
             # Flows that have not started yet keep their state frozen.
-            out[1:].reshape(-1, n)[:, ~active] = 0.0
-        return out
-
-    def clamp(self, state: np.ndarray) -> np.ndarray:
-        # Bound first, as in DCQCNFluidModel.clamp.
-        np.maximum(self._lower, state, out=state)
-        np.minimum(self._upper, state, out=state)
-        return state
+            for i, on in enumerate(active):
+                if not on:
+                    dg[i] = dr[i] = 0.0
+                    if pi is not None:
+                        dp[i] = 0.0
+        return [dq, *dg, *dr, *dp]
 
     def reduced(self, initial: np.ndarray
                 ) -> "Optional[Tuple[FluidModel, np.ndarray, np.ndarray]]":
@@ -378,7 +365,7 @@ class TimelyFluidModel(FluidModel):
         with no per-host PI state or per-flow noise, see the same
         delayed queue and apply the same per-element operations, so
         they stay bitwise equal for the whole run.  The 3-state core
-        ``[q, g, R]`` is this model's own right-hand side and clamp at
+        ``[q, g, R]`` is this model's own right-hand side and bounds at
         one flow; only Eq. 20's sum needs all ``N`` copies.  Bit
         patterns are compared, so ``-0.0`` and ``0.0`` are told apart.
         """
@@ -393,8 +380,6 @@ class TimelyFluidModel(FluidModel):
         core = copy.copy(self)
         core.n = 1
         core._copies = np.empty(n)
-        core._gradient_sl, core._rate_sl = slice(1, 2), slice(2, 3)
         keep = [0, 1, 1 + n]
-        core._lower, core._upper = self._lower[keep], self._upper[keep]
         columns = np.repeat(np.arange(3), [1, n, n])
         return core, initial[keep], columns

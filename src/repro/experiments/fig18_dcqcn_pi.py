@@ -18,7 +18,7 @@ from repro.analysis.reporting import format_table
 from repro.core.convergence.metrics import jain_fairness
 from repro.core.fixedpoint.dcqcn import solve_fixed_point
 from repro.core.fluid import dde
-from repro.core.fluid.pi import DCQCNPIFluidModel
+from repro.core.fluid.dcqcn import DCQCNFluidModel
 from repro.core.params import DCQCNParams, PIParams
 
 
@@ -55,7 +55,7 @@ def run(flow_counts: Sequence[int] = (2, 10, 64),
         params = DCQCNParams.paper_default(capacity_gbps=capacity_gbps,
                                            num_flows=n,
                                            tau_star_us=tau_star_us)
-        model = DCQCNPIFluidModel(params, pi)
+        model = DCQCNFluidModel(params, pi=pi)
         trace = dde.integrate(model, duration, dt=dt, record_stride=50)
         finals = [trace.tail_mean(f"rc[{i}]", window) for i in range(n)]
         fixed = solve_fixed_point(params, extend_red=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.fluid.base import FluidModel
@@ -64,15 +65,19 @@ class _ReferenceRHS(FluidModel):
     """A fluid model driven by a test-side right-hand side and clamp.
 
     ``derivatives(model, t, state, history)`` and ``clamp(model,
-    state)`` are plain functions -- a direct transcription of the
+    state)`` are plain numpy functions -- a direct transcription of the
     paper's equations -- evaluated on ``model``'s parameters, initial
-    state and labels.
+    state and labels.  The integrator bounds states itself, so the
+    clamp enters as the bounds it implies: its image of an all ``-inf``
+    and an all ``+inf`` state.
     """
 
     def __init__(self, model, derivatives, clamp):
         self.model = model
         self._derivatives = derivatives
-        self._clamp = clamp
+        size = len(model.state_labels())
+        self._bounds = (clamp(model, np.full(size, -np.inf)).tolist(),
+                        clamp(model, np.full(size, np.inf)).tolist())
 
     def initial_state(self):
         return self.model.initial_state()
@@ -81,10 +86,11 @@ class _ReferenceRHS(FluidModel):
         return self.model.state_labels()
 
     def derivatives(self, t, state, history):
-        return self._derivatives(self.model, t, state, history)
+        return self._derivatives(self.model, t, np.array(state),
+                                 history).tolist()
 
-    def clamp(self, state):
-        return self._clamp(self.model, state)
+    def bounds(self):
+        return self._bounds
 
 
 @pytest.fixture
@@ -93,7 +99,54 @@ def reference_rhs():
 
     ``reference_rhs(model, derivatives, clamp)`` returns a
     :class:`~repro.core.fluid.base.FluidModel` with ``model``'s state
-    layout whose right-hand side and clamp are the given functions,
+    layout whose right-hand side and bounds are the given functions,
     so ``dde.integrate`` of it and of ``model`` can be compared.
     """
     return _ReferenceRHS
+
+
+class _Replay(FluidModel):
+    """Writes ``values`` into the state in one step of any method.
+
+    A finite value starts as the initial state and every derivative is
+    ``-0.0`` (``x + c * -0.0`` is ``x`` for every ``x``, signed zeros
+    included); a non-finite one starts at 0 and its derivative is the
+    value itself, which every method's combination keeps.
+    """
+
+    def __init__(self, bounds, values):
+        self._bound_pair = bounds
+        self._values = [float(v) for v in values]
+
+    def initial_state(self):
+        return np.array([v if np.isfinite(v) else 0.0
+                         for v in self._values])
+
+    def state_labels(self):
+        return [f"x{i}" for i in range(len(self._values))]
+
+    def derivatives(self, t, state, history):
+        return [-0.0 if np.isfinite(v) else v for v in self._values]
+
+    def bounds(self):
+        return self._bound_pair
+
+
+@pytest.fixture
+def integrator_bounded():
+    """``integrator_bounded(model, values, method)``: ``values`` as the
+    integrator bounds them to ``model.bounds()`` after one step, read
+    from the trace, or from the failure state when a value is not
+    finite."""
+    from repro.core.fluid import dde
+
+    def bounded(model, values, method="heun"):
+        replay = _Replay(model.bounds(), values)
+        try:
+            trace = dde.integrate(replay, 1.0, dt=1.0, method=method,
+                                  max_retries=0, divergence_limit=None)
+        except dde.IntegrationError as error:
+            return error.failure.state
+        return trace.states[1]
+
+    return bounded

@@ -14,7 +14,7 @@ class TestDCQCNStartTimes:
         model = DCQCNFluidModel(dcqcn_params, start_times=[0.0, 1.0])
         state = model.initial_state()
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         # Flow 1 contributes nothing and does not evolve; the single
         # active line-rate flow exactly fills the link.
         assert deriv[model.queue_index] == pytest.approx(0.0)

@@ -16,7 +16,7 @@ class ExponentialDecay(FluidModel):
         return np.array([1.0])
 
     def derivatives(self, t, state, history):
-        return -state
+        return [-x for x in state]
 
     def state_labels(self):
         return ["x"]
@@ -36,26 +36,26 @@ class DelayedNegativeFeedback(FluidModel):
         return np.array([1.0])
 
     def derivatives(self, t, state, history):
-        return -history(t - self.tau)
+        return [-history.component(t - self.tau, 0)]
 
     def state_labels(self):
         return ["x"]
 
 
 class ClampedGrowth(FluidModel):
-    """dx/dt = +10 with a clamp at 1.0 -- exercises clamp()."""
+    """dx/dt = +10 with an upper bound of 1.0 -- exercises bounds()."""
 
     def initial_state(self):
         return np.array([0.0])
 
     def derivatives(self, t, state, history):
-        return np.array([10.0])
+        return [10.0]
 
     def state_labels(self):
         return ["x"]
 
-    def clamp(self, state):
-        return np.minimum(state, 1.0)
+    def bounds(self):
+        return [-math.inf], [1.0]
 
 
 class Diverging(FluidModel):
@@ -65,8 +65,7 @@ class Diverging(FluidModel):
         return np.array([1.0])
 
     def derivatives(self, t, state, history):
-        with np.errstate(over="ignore"):
-            return state ** 2
+        return [x * x for x in state]
 
     def state_labels(self):
         return ["x"]
@@ -240,7 +239,7 @@ class StiffDecay(FluidModel):
         return np.array([1.0])
 
     def derivatives(self, t, state, history):
-        return -self.k * state
+        return [-self.k * x for x in state]
 
     def state_labels(self):
         return ["x"]
@@ -303,3 +302,126 @@ class TestDivergenceGuards:
         trace = dde.integrate(ExponentialDecay(), t_end=1.0, dt=1e-3)
         assert trace.final("x") == pytest.approx(math.exp(-1.0),
                                                  abs=1e-3)
+
+
+class NaNAt(FluidModel):
+    """Five decaying components; ``column``'s derivative turns NaN from
+    ``t = 2 dt`` on, as a model's algebra would on a 0/0."""
+
+    def __init__(self, column: int, dt: float):
+        self.column = column
+        self.trigger = 2.0 * dt
+
+    def initial_state(self):
+        return np.arange(1.0, 6.0)
+
+    def derivatives(self, t, state, history):
+        out = [-x for x in state]
+        if t >= self.trigger:
+            out[self.column] = math.nan
+        return out
+
+    def state_labels(self):
+        return [f"x{i}" for i in range(5)]
+
+
+class Copies(FluidModel):
+    """``[x, y_1..y_k]`` with x' = 1 and y_i' = y_i^2 from 1 (blowing up
+    at t = 1); identical ``y`` reduce to the core ``[x, y]``."""
+
+    def __init__(self, copies: int, reduce: bool = True):
+        self.copies = copies
+        self.reduce = reduce
+
+    def initial_state(self):
+        return np.array([0.0] + [1.0] * self.copies)
+
+    def derivatives(self, t, state, history):
+        return [1.0] + [y * y for y in state[1:]]
+
+    def state_labels(self):
+        return ["x"] + [f"y{i}" for i in range(self.copies)]
+
+    def reduced(self, initial):
+        if not self.reduce:
+            return None
+        columns = np.array([0] + [1] * self.copies)
+        return Copies(1, reduce=False), initial[:2], columns
+
+
+_SPECIALS = [-1e9, -0.0, 0.0, 1.0, 1e12, math.inf, -math.inf, math.nan]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("method", ["euler", "heun", "rk4"])
+class TestFloatIntegrator:
+    """The float stepping loop: per-element divergence and bounds."""
+
+    @pytest.mark.parametrize("column", [0, 2, 4],
+                             ids=["first", "middle", "last"])
+    def test_nan_in_any_column_raises(self, method, column):
+        with pytest.raises(dde.IntegrationError) as caught:
+            dde.integrate(NaNAt(column, 1e-3), 1.0, dt=1e-3,
+                          method=method, max_retries=0)
+        failure = caught.value.failure
+        # Euler first evaluates at t = 2 dt in step 3, the others in
+        # the last stage of step 2.
+        assert failure.step == (3 if method == "euler" else 2)
+        assert "non-finite" in failure.cause
+        assert np.isnan(failure.state[column])
+        assert np.isfinite(np.delete(failure.state, column)).all()
+
+    def test_inf_without_limit_raises(self, method):
+        with pytest.raises(dde.IntegrationError) as caught:
+            dde.integrate(Diverging(), t_end=2.0, dt=1e-3, method=method,
+                          max_retries=0, divergence_limit=None)
+        failure = caught.value.failure
+        assert "non-finite" in failure.cause
+        assert np.isinf(failure.state).any()
+
+    def test_explicit_infinite_limit_still_trips_on_inf(self, method):
+        with pytest.raises(dde.IntegrationError):
+            dde.integrate(Diverging(), t_end=2.0, dt=1e-3, method=method,
+                          max_retries=0, divergence_limit=math.inf)
+
+    @pytest.mark.parametrize("limit", [None, 10.0])
+    def test_core_failure_state_in_full_layout(self, method, limit):
+        failures = []
+        for model in (Copies(4), Copies(4, reduce=False)):
+            with pytest.raises(dde.IntegrationError) as caught:
+                dde.integrate(model, 2.0, dt=1e-3, method=method,
+                              max_retries=0, divergence_limit=limit)
+            failures.append(caught.value.failure)
+        core, full = failures
+        assert core.state.shape == (5,)
+        assert np.array_equal(_bits(core.state), _bits(full.state))
+        assert str(core) == str(full)
+
+    def test_core_trace_in_full_layout(self, method):
+        core = dde.integrate(Copies(3), 0.5, dt=1e-3, method=method)
+        full = dde.integrate(Copies(3, reduce=False), 0.5, dt=1e-3,
+                             method=method)
+        assert core.labels == full.labels
+        assert np.array_equal(_bits(core.states), _bits(full.states))
+
+    def test_bounds_match_maximum_then_minimum(self, method,
+                                               integrator_bounded):
+        # Every pair of bounds drawn from the specials (lower <= upper),
+        # against numpy's bound-first composition, bit for bit: NaN
+        # passes, and a value equal to a bound keeps its own zero sign.
+        edges = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf]
+        pairs = [(lo, up) for lo in edges for up in edges if lo <= up]
+
+        class Bounded:
+            def bounds(self):
+                return ([lo for lo, _ in pairs for _ in _SPECIALS],
+                        [up for _, up in pairs for _ in _SPECIALS])
+
+        values = _SPECIALS * len(pairs)
+        lower, upper = (np.array(side) for side in Bounded().bounds())
+        want = np.minimum(upper, np.maximum(lower, np.array(values)))
+        got = integrator_bounded(Bounded(), values, method)
+        assert np.array_equal(_bits(got), _bits(want))

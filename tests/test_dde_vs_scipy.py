@@ -26,7 +26,7 @@ class LinearSystem(FluidModel):
         return self.x0.copy()
 
     def derivatives(self, t, state, history):
-        return self.matrix @ state
+        return (self.matrix @ np.array(state)).tolist()
 
     def state_labels(self):
         return [f"x{i}" for i in range(self.x0.size)]
@@ -44,11 +44,8 @@ class DrivenOscillator(FluidModel):
 
     def derivatives(self, t, state, history):
         x, v = state
-        return np.array([
-            v,
-            np.sin(t) - 2 * self.zeta * self.omega * v
-            - self.omega ** 2 * x,
-        ])
+        return [v, float(np.sin(t)) - 2 * self.zeta * self.omega * v
+                - self.omega ** 2 * x]
 
     def state_labels(self):
         return ["x", "v"]

@@ -117,7 +117,7 @@ class TestStationarity:
         model = DCQCNFluidModel(dcqcn_params)
         state = fp.as_vector(dcqcn_params)
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         # Normalize each block by its state scale.
         assert abs(deriv[0]) / dcqcn_params.capacity < 1e-9
         assert np.all(np.abs(deriv[model.alpha_slice()]) < 1e-6)

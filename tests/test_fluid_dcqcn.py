@@ -10,29 +10,54 @@ from hypothesis import strategies as st
 from repro import units
 from repro.core.fluid import dde
 from repro.core.fluid.dcqcn import (DCQCNFluidModel, MIN_RATE,
-                                    qcn_event_rates, survival_exponent)
+                                    flow_event_rates, qcn_event_rates)
 from repro.core.fluid.history import UniformHistory
 from repro.core.fluid.jitter import JitterProcess
-from repro.core.fluid.pi import DCQCNPIFluidModel
 from repro.core.params import DCQCNParams, PIParams
 
 
-class TestSurvivalExponent:
-    def test_p_zero_is_one(self):
-        assert survival_exponent(0.0, 1000.0) == pytest.approx(1.0)
+def rhs(model, t, state, history):
+    """``model.derivatives`` on ``state``'s floats, as an array."""
+    return np.array(model.derivatives(t, state.tolist(), history))
 
-    def test_matches_direct_power_for_small_counts(self):
-        assert survival_exponent(0.01, 100.0) == pytest.approx(
+
+def _survival(p, count_of_one_timer_window, params):
+    """``(1-p)^{F T R}`` read off the event rates: the fraction of timer
+    events past fast recovery, at the rate whose timer window ``T R``
+    is ``count / F`` packets."""
+    rate = np.array([count_of_one_timer_window
+                     / (params.fast_recovery_steps * params.timer)])
+    events = qcn_event_rates(p, rate, params)
+    return events.timer_ai_rate[0] / events.timer_rate[0]
+
+
+class TestSurvivalExponent:
+    """The ``(1-p)^count`` survival factor inside the event rates, in
+    exp/log form so huge counts underflow gracefully."""
+
+    def test_p_zero_is_one(self, dcqcn_params):
+        assert _survival(0.0, 1000.0, dcqcn_params) == pytest.approx(1.0)
+
+    def test_matches_direct_power_for_small_counts(self, dcqcn_params):
+        assert _survival(0.01, 100.0, dcqcn_params) == pytest.approx(
             0.99 ** 100, rel=1e-9)
 
-    def test_huge_count_underflows_to_zero(self):
-        assert survival_exponent(0.5, 1e7) == 0.0
+    def test_huge_count_underflows_to_zero(self, dcqcn_params):
+        events = qcn_event_rates(0.5, np.array([1e7]), dcqcn_params)
+        assert events.byte_ai_rate[0] == 0.0
+        assert events.timer_ai_rate[0] == 0.0
 
     @given(st.floats(min_value=1e-6, max_value=0.99),
            st.floats(min_value=1.0, max_value=1e6))
     def test_in_unit_interval(self, p, count):
-        value = survival_exponent(p, count)
-        assert 0.0 <= value <= 1.0
+        # As a ratio it is 0/0 once both rates underflow, so compare:
+        # the events past fast recovery are a subset of all events.
+        params = DCQCNParams.paper_default()
+        rate = np.array([count / (params.fast_recovery_steps
+                                  * params.timer)])
+        events = qcn_event_rates(p, rate, params)
+        assert 0.0 <= events.timer_ai_rate[0] <= events.timer_rate[0]
+        assert 0.0 <= events.byte_ai_rate[0] <= events.byte_rate[0]
 
 
 class TestQCNEventRates:
@@ -144,13 +169,20 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="line_rate"):
             DCQCNFluidModel(dcqcn_params, line_rate=line_rate)
         with pytest.raises(ValueError, match="line_rate"):
-            DCQCNPIFluidModel(dcqcn_params, PIParams.for_dcqcn(100.0),
-                              line_rate=line_rate)
+            DCQCNFluidModel(dcqcn_params, pi=PIParams.for_dcqcn(100.0),
+                            line_rate=line_rate)
         DCQCNFluidModel(dcqcn_params, line_rate=MIN_RATE)
 
     def test_rejects_negative_marking_delay(self, dcqcn_params):
         with pytest.raises(ValueError):
             DCQCNFluidModel(dcqcn_params, marking_delay=-1e-6)
+
+    @pytest.mark.parametrize("kwargs", [dict(marking_delay=1e-6),
+                                        dict(extend_red=True)])
+    def test_pi_rejects_red_options(self, dcqcn_params, kwargs):
+        with pytest.raises(ValueError, match="pi"):
+            DCQCNFluidModel(dcqcn_params, pi=PIParams.for_dcqcn(100.0),
+                            **kwargs)
 
 
 class TestDerivatives:
@@ -161,7 +193,7 @@ class TestDerivatives:
         model = DCQCNFluidModel(dcqcn_params)
         state = model.initial_state()
         history = self.make_history(model, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = rhs(model, 0.0, state, history)
         # Two line-rate flows into one line-rate bottleneck: the queue
         # grows at (2 - 1) * C.
         assert deriv[model.queue_index] == pytest.approx(
@@ -172,7 +204,7 @@ class TestDerivatives:
                                 initial_rates=[1e3, 1e3])
         state = model.initial_state()
         history = self.make_history(model, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = rhs(model, 0.0, state, history)
         assert deriv[model.queue_index] == 0.0
 
     def test_no_marking_below_kmin(self, dcqcn_params):
@@ -185,21 +217,23 @@ class TestDerivatives:
         model = DCQCNFluidModel(dcqcn_params)
         state = model.initial_state()
         history = self.make_history(model, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = rhs(model, 0.0, state, history)
         assert np.all(deriv[model.alpha_slice()] < 0.0)
 
-    def test_clamp_bounds_everything(self, dcqcn_params):
+    def test_clamp_bounds_everything(self, dcqcn_params,
+                                     integrator_bounded):
         model = DCQCNFluidModel(dcqcn_params)
         state = model.initial_state()
         state[model.queue_index] = -5.0
         state[model.alpha_slice()] = 2.0
         state[model.rc_slice()] = 1e12
-        clamped = model.clamp(state)
+        clamped = integrator_bounded(model, state)
         assert clamped[model.queue_index] == 0.0
         assert np.all(clamped[model.alpha_slice()] <= 1.0)
         assert np.all(clamped[model.rc_slice()] <= model.line_rate)
         state[model.rc_slice()] = 0.0
-        assert np.all(model.clamp(state)[model.rc_slice()] >= MIN_RATE)
+        assert np.all(integrator_bounded(model, state)[model.rc_slice()]
+                      >= MIN_RATE)
 
 
 class TestConvergence:
@@ -326,13 +360,13 @@ def ref_event_rates(p, delayed_rate, params):
 
 
 def ref_marking_probability(model, t, history):
-    if isinstance(model, DCQCNPIFluidModel):
+    if model.pi is not None:
         lag = model.params.tau_star + model.feedback_jitter(t)
-        delayed_p = history(t - lag)[model.p_mark_index]
+        delayed_p = history.component(t - lag, 1 + 3 * model.n)
         return float(np.clip(delayed_p, model.pi.p_min, model.pi.p_max))
     lag = (model.params.tau_star + model.marking_delay
            + model.feedback_jitter(t))
-    delayed_queue = float(history(t - lag)[0])
+    delayed_queue = history.component(t - lag, 0)
     red = model.params.red
     if model.extend_red:
         return min(max((delayed_queue - red.kmin) * red.slope, 0.0), 1.0)
@@ -349,8 +383,9 @@ def ref_dcqcn_derivatives(model, t, state, history):
     rc = state[1 + 2 * n:1 + 3 * n]
 
     mark_p = ref_marking_probability(model, t, history)
-    delayed_rc = history(t - p.tau_star - model.feedback_jitter(t))[
-        1 + 2 * n:1 + 3 * n]
+    lagged = t - p.tau_star - model.feedback_jitter(t)
+    delayed_rc = np.array([history.component(lagged, 1 + 2 * n + i)
+                           for i in range(n)])
     delayed_rc = np.maximum(delayed_rc, MIN_RATE)
     mark_fraction, byte_rate, byte_ai_rate, timer_rate, timer_ai_rate = \
         ref_event_rates(mark_p, delayed_rc, p)
@@ -377,16 +412,16 @@ def ref_dcqcn_derivatives(model, t, state, history):
 
 
 def ref_derivatives(model, t, state, history):
-    if not isinstance(model, DCQCNPIFluidModel):
+    if model.pi is None:
         return ref_dcqcn_derivatives(model, t, state, history)
     # Eq. 32 marker riding on the DCQCN block.
     pi = model.pi
-    base = ref_dcqcn_derivatives(model, t, state[:model.p_mark_index],
-                                 history)
+    p_mark_index = 1 + 3 * model.n
+    base = ref_dcqcn_derivatives(model, t, state[:p_mark_index], history)
     dq = base[0]
     error = (state[0] - pi.q_ref) / pi.q_ref
     dp = pi.k1 * dq / pi.q_ref + pi.k2 * error
-    p_mark = state[model.p_mark_index]
+    p_mark = state[p_mark_index]
     if (p_mark <= pi.p_min and dp < 0) or (p_mark >= pi.p_max and dp > 0):
         dp = 0.0
     return np.append(base, dp)
@@ -400,8 +435,8 @@ def ref_clamp(model, state):
             out=state[1 + n:1 + 2 * n])
     np.clip(state[1 + 2 * n:1 + 3 * n], MIN_RATE, model.line_rate,
             out=state[1 + 2 * n:1 + 3 * n])
-    if isinstance(model, DCQCNPIFluidModel):
-        i = model.p_mark_index
+    if model.pi is not None:
+        i = 1 + 3 * n
         state[i] = float(np.clip(state[i], model.pi.p_min, model.pi.p_max))
     return state
 
@@ -484,7 +519,7 @@ class TestBitExactReference:
         elif regime == "jitter":
             kwargs["feedback_jitter"] = JitterProcess(100e-6, seed=4)
         if regime == "pi":
-            model = DCQCNPIFluidModel(params, PIParams.for_dcqcn(100.0))
+            model = DCQCNFluidModel(params, pi=PIParams.for_dcqcn(100.0))
             state = _spread_state(model, queue)
             state[model.p_mark_index] = 0.3
         else:
@@ -501,9 +536,9 @@ class TestBitExactReference:
                 assert 0.0 < mark_p < 1e-13
             elif regime == "red_cliff":
                 assert mark_p == 1.0
-            before = state.copy()
-            got = model.derivatives(t, state, history)
-            assert np.array_equal(state, before)
+            values = state.tolist()
+            got = model.derivatives(t, values, history)
+            assert values == state.tolist()
             assert np.array_equal(got, ref_derivatives(model, t, state,
                                                        history))
 
@@ -522,9 +557,9 @@ class TestBitExactReference:
             DCQCNParams.paper_default(num_flows=2, tau_star_us=20.0),
             feedback_jitter=JitterProcess(100e-6, seed=3)),
             id="jitter_n2"),
-        pytest.param(lambda: DCQCNPIFluidModel(
+        pytest.param(lambda: DCQCNFluidModel(
             DCQCNParams.paper_default(num_flows=2),
-            PIParams.for_dcqcn(100.0)), id="pi_n2"),
+            pi=PIParams.for_dcqcn(100.0)), id="pi_n2"),
     ])
     def test_integrate_traces(self, reference_rhs, make):
         got = dde.integrate(make(), 2e-3, dt=1e-6)
@@ -533,20 +568,21 @@ class TestBitExactReference:
         assert np.array_equal(got.states, want.states)
 
     @pytest.mark.parametrize("pi", [False, True])
-    def test_clamp(self, pi):
+    def test_clamp(self, pi, integrator_bounded):
+        # The integrator's bounds, read back from one step of each
+        # method, against the transcription's clamp, bit for bit.
         params = DCQCNParams.paper_default(num_flows=4)
         rng = np.random.default_rng(7)
         specials = np.array([-1e9, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e12,
                              np.inf, -np.inf, np.nan])
-        if pi:
-            model = DCQCNPIFluidModel(params, PIParams.for_dcqcn(100.0))
-        else:
-            model = DCQCNFluidModel(params)
-        for _ in range(200):
+        model = DCQCNFluidModel(
+            params, pi=PIParams.for_dcqcn(100.0) if pi else None)
+        for k in range(200):
             state = rng.choice(specials, len(model.state_labels()))
-            got = model.clamp(state.copy())
+            method = ("euler", "heun", "rk4")[k % 3]
+            got = integrator_bounded(model, state, method)
             want = ref_clamp(model, state.copy())
-            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # -- exchangeable flows: the 4-state core -------------------------------------
@@ -618,8 +654,9 @@ class TestExchangeableReduction:
                 assert 0.0 < mark_p < 1e-13
             elif regime == "red_cliff":
                 assert mark_p == 1.0
-            want = model.derivatives(t, state, full_history)
-            got = core.derivatives(t, core_state, core_history)
+            want = model.derivatives(t, state.tolist(), full_history)
+            got = np.array(core.derivatives(t, core_state.tolist(),
+                                            core_history))
             assert np.array_equal(got[columns], want)
             assert np.array_equal(got[columns], ref_derivatives(
                 model, t, state, full_history))
@@ -668,10 +705,24 @@ class TestExchangeableReduction:
         state[model.alpha_slice().start + 4] = -0.0
         assert model.reduced(state) is None
 
-    def test_pi_model_falls_back(self):
-        model = DCQCNPIFluidModel(DCQCNParams.paper_default(num_flows=2),
-                                  PIParams.for_dcqcn(100.0))
-        assert model.reduced(model.initial_state()) is None
+    @pytest.mark.parametrize("num_flows", [2, 64])
+    def test_pi_model_reduces(self, reference_rhs, num_flows):
+        # Fig. 18: the shared PI marker keeps identical flows identical;
+        # the core is [q, alpha, R_T, R_C, p_mark].
+        params = DCQCNParams.paper_default(num_flows=num_flows,
+                                           tau_star_us=50.0)
+        pi = PIParams.for_dcqcn(100.0)
+        model = DCQCNFluidModel(params, pi=pi)
+        core, core_state, columns = model.reduced(model.initial_state())
+        assert core.state_labels() == ["q", "alpha[0]", "rt[0]", "rc[0]",
+                                       "p_mark"]
+        assert np.array_equal(core_state[columns], model.initial_state())
+        got = dde.integrate(model, 2e-3, dt=1e-6)
+        want = dde.integrate(_Unreduced(params, pi=pi), 2e-3, dt=1e-6)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.states, dde.integrate(
+            reference_rhs(DCQCNFluidModel(params, pi=pi), ref_derivatives,
+                          ref_clamp), 2e-3, dt=1e-6).states)
 
     def test_observer_sees_full_layout(self):
         seen = {"reduced": [], "full": []}
@@ -713,6 +764,53 @@ class TestExchangeableReduction:
                 state[0] = (_queue_for(model.params, p) if p < 1.0
                             else 2.0 * model.params.red.kmax)
                 core, core_state, _ = model.reduced(state)
-                core.derivatives(0.0, core_state,
+                core.derivatives(0.0, core_state.tolist(),
                                  _constant_history(core_state))
             dde.integrate(model, 1e-3, dt=1e-6, initial_state=state)
+
+
+class TestFlowEventRates:
+    """The right-hand side's float event rates are ``qcn_event_rates``.
+
+    ``qcn_event_rates`` stays the vectorized form for the fixed point
+    and the margin code; the loop's per-flow floats must equal it bit
+    for bit, with no warning, across the whole (p, R) range.
+    """
+
+    _P = sorted({0.0, 1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-4, 4e-3, 0.05,
+                 0.068, 0.07, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-13,
+                 *np.geomspace(1e-13, 0.999, 25).tolist()})
+
+    def test_grid_matches_vectorized(self, dcqcn_ten_flows):
+        params = dcqcn_ten_flows
+        rates = np.concatenate([[0.5], np.geomspace(
+            MIN_RATE, params.capacity, 60)])
+        # Byte-counter exponents of 709.5 (under np.errstate) and 710.5
+        # (past the certain overflow) too.
+        edges = [float(-np.expm1(-x / params.byte_counter))
+                 for x in (709.5, 710.5)]
+        for p in sorted(self._P + edges):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = flow_event_rates(p, rates.tolist(), params)
+                want = qcn_event_rates(p, rates, params)
+            got = np.array(got)
+            for k, field in enumerate(want):
+                assert np.array_equal(got[:, k].view(np.uint64),
+                                      field.view(np.uint64)), (p, k)
+            # Eq. 5's target, as the transcription writes it.
+            floored = np.maximum(rates, MIN_RATE)
+            target = -np.expm1(params.tau_prime * floored * np.log1p(
+                -min(p, _P_CEIL))) if p > 0.0 else np.zeros_like(rates)
+            assert np.array_equal(got[:, 5].view(np.uint64),
+                                  target.view(np.uint64)), p
+
+    def test_overflow_regime_is_reached(self, dcqcn_ten_flows):
+        # Past p ~ 0.067 the byte-counter exponent exceeds 709, where
+        # expm1 may overflow to the intended +inf; past 710 it must.
+        exponent = dcqcn_ten_flows.byte_counter * -np.log1p(-0.07)
+        assert exponent > 710.0
+        with np.errstate(over="ignore"):
+            assert np.expm1(710.0) == np.inf
+        (events,) = flow_event_rates(1.0 - 1e-13, [1e6], dcqcn_ten_flows)
+        assert events[1] == 0.0 and events[2] == 0.0

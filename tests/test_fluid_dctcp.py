@@ -6,6 +6,7 @@ import pytest
 from repro import units
 from repro.core.fluid import dde
 from repro.core.fluid.dctcp import DCTCPFluidModel
+from repro.core.fluid.history import UniformHistory
 
 
 def make_model(**kw):
@@ -72,7 +73,7 @@ class TestMechanics:
         from repro.core.fluid.history import UniformHistory
         state = model.initial_state()
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         assert np.all(deriv[model.window_slice()] > 0)
 
 
@@ -132,3 +133,67 @@ class TestLimitCycle:
         many = dde.integrate(make_model(num_flows=8), 0.1, dt=1e-6,
                              record_stride=20)
         assert many.tail_std("q", 0.03) > few.tail_std("q", 0.03)
+
+
+# -- bit-exact reference ------------------------------------------------------
+
+
+def ref_derivatives(model, t, state, history):
+    """The module docstring's equations, one numpy expression each."""
+    n = model.n
+    queue = state[0]
+    alphas = state[1:1 + n]
+    windows = state[1 + n:1 + 2 * n]
+    rtt_now = model.prop_delay + queue / model.capacity
+    delayed_queue = history.component(t - rtt_now, 0)
+    p_delayed = 1.0 if delayed_queue > model.threshold else 0.0
+    dq = float(np.sum(windows)) / rtt_now - model.capacity
+    if queue <= 0.0 and dq < 0.0:
+        dq = 0.0
+    out = np.empty_like(state)
+    out[0] = dq
+    out[1:1 + n] = model.g / rtt_now * (p_delayed - alphas)
+    out[1 + n:1 + 2 * n] = (1.0 / rtt_now - windows * alphas
+                            / (2.0 * rtt_now) * p_delayed)
+    return out
+
+
+def ref_clamp(model, state):
+    n = model.n
+    state[0] = max(state[0], 0.0)
+    np.clip(state[1:1 + n], 0.0, 1.0, out=state[1:1 + n])
+    np.maximum(state[1 + n:1 + 2 * n], 1.0, out=state[1 + n:1 + 2 * n])
+    return state
+
+
+class TestBitExactReference:
+    """The model equals the direct transcription above, bit for bit."""
+
+    def test_single_derivatives(self):
+        model = make_model(num_flows=10)
+        rng = np.random.default_rng(1)
+        state = model.initial_state()
+        state[1:11] = rng.uniform(0.0, 1.0, 10)
+        state[11:21] = rng.uniform(1.0, 200.0, 10)
+        # Ten windows sum differently left to right and pairwise.
+        assert float(np.add.reduce(state[11:21])) != sum(
+            state[11:21].tolist())
+        for queue in (0.0, 30.0, 100.0):
+            state[0] = queue
+            history = UniformHistory(0.0, 1e-6, state, capacity=200)
+            for k in range(1, 200):
+                row = state.copy()
+                row[0] = queue + 60.0 * np.sin(k * 0.05)
+                history.append(row)
+            for t in (0.0, 1e-4, 1.5e-4 + 3e-7):
+                got = model.derivatives(t, state.tolist(), history)
+                assert np.array_equal(got, ref_derivatives(model, t, state,
+                                                           history))
+
+    def test_integrate_trace(self, reference_rhs):
+        got = dde.integrate(make_model(num_flows=3), 2e-3, dt=1e-6)
+        want = dde.integrate(reference_rhs(make_model(num_flows=3),
+                                           ref_derivatives, ref_clamp),
+                             2e-3, dt=1e-6)
+        assert np.array_equal(got.states, want.states)
+        assert got.column("q").max() > 0.0

@@ -70,7 +70,7 @@ class TestDCQCNFixedPointProperties:
         model = DCQCNFluidModel(params, extend_red=True)
         state = fp.as_vector(params)
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         rate_scale = params.fair_share
         assert abs(deriv[0]) < 1e-6 * params.capacity
         assert np.all(np.abs(deriv[model.rc_slice()]) < 1e-3

@@ -35,52 +35,55 @@ class TestConstruction:
 class TestLookup:
     def test_exact_grid_points(self):
         history = make_linear_history()
-        assert history(0.5)[0] == pytest.approx(1.0)
-        assert history(1.0)[0] == pytest.approx(2.0)
+        assert history.component(0.5, 0) == pytest.approx(1.0)
+        assert history.component(1.0, 0) == pytest.approx(2.0)
 
     def test_linear_interpolation_between_points(self):
         history = make_linear_history()
-        assert history(0.55)[0] == pytest.approx(1.1)
+        assert history.component(0.55, 0) == pytest.approx(1.1)
 
     def test_constant_pre_history(self):
         history = make_linear_history(t0=1.0)
-        assert history(0.0)[0] == pytest.approx(2.0)  # state at t0
-        assert history(-5.0)[0] == pytest.approx(2.0)
+        assert history.component(0.0, 0) == pytest.approx(2.0)  # at t0
+        assert history.component(-5.0, 0) == pytest.approx(2.0)
 
     def test_clamps_beyond_latest(self):
         history = make_linear_history(steps=10)
         latest = history.latest_time
-        assert history(latest + 1.0)[0] == pytest.approx(
-            history(latest)[0])
+        assert history.component(latest + 1.0, 0) == pytest.approx(
+            history.component(latest, 0))
 
     def test_component_matches_full_lookup(self):
+        # Each component interpolates its own column of the record.
         history = UniformHistory(0.0, 0.1, np.array([0.0, 10.0]))
         for k in range(1, 15):
-            history.append(np.array([k * 0.1, 10.0 + k]))
+            history.append([k * 0.1, 10.0 + k])
+        times, states = history.strided_view(1)
         t = 0.73
-        full = history(t)
-        assert history.component(t, 0) == pytest.approx(full[0])
-        assert history.component(t, 1) == pytest.approx(full[1])
+        for index in range(2):
+            assert history.component(t, index) == pytest.approx(
+                np.interp(t, times, states[:, index]))
 
-    def test_returned_vector_is_a_copy(self):
+    def test_component_is_a_python_float(self):
         history = make_linear_history()
-        vec = history(0.5)
-        vec[0] = 999.0
-        assert history(0.5)[0] == pytest.approx(1.0)
+        for t in (-1.0, 0.5, 0.55, 99.0):
+            assert type(history.component(t, 0)) is float
 
 
 class TestGrowth:
     def test_capacity_doubling_preserves_data(self):
         history = UniformHistory(0.0, 1.0, np.array([0.0]))
         for k in range(1, 5000):
-            history.append(np.array([float(k)]))
+            history.append([float(k)])
         assert len(history) == 5000
-        assert history(1234.0)[0] == pytest.approx(1234.0)
-        assert history(4999.0)[0] == pytest.approx(4999.0)
+        assert history.component(1234.0, 0) == pytest.approx(1234.0)
+        assert history.component(4999.0, 0) == pytest.approx(4999.0)
+        times, states = history.strided_view(1)
+        assert np.array_equal(states[:, 0], np.arange(5000.0))
 
-    def test_as_arrays_shapes(self):
+    def test_strided_view_shapes(self):
         history = make_linear_history(steps=7)
-        times, states = history.as_arrays()
+        times, states = history.strided_view(1)
         assert times.shape == (8,)
         assert states.shape == (8, 1)
         assert times[0] == pytest.approx(0.0)
@@ -88,17 +91,17 @@ class TestGrowth:
 
     @pytest.mark.parametrize("stride", [1, 3, 50])
     def test_strided_view_is_an_independent_thinning(self, stride):
-        history = UniformHistory(0.0, 0.5, np.array([0.0, 1.0, 2.0]))
-        for k in range(1, 40):
-            history.append(np.array([k, k + 1.0, k * k]))
+        rows = [[k, k + 1.0, k * k] for k in range(40)]
+        history = UniformHistory(0.0, 0.5, np.array(rows[0], dtype=float))
+        for row in rows[1:]:
+            history.append(row)
         times, states = history.strided_view(stride)
-        all_times, all_states = history.as_arrays()
-        assert np.array_equal(times, all_times[::stride])
-        assert np.array_equal(states, all_states[::stride])
+        assert np.array_equal(times, 0.5 * np.arange(40)[::stride])
+        assert np.array_equal(states, np.array(rows, dtype=float)[::stride])
         # The states own their memory: writing them leaves the history.
         assert not np.shares_memory(states, history._data)
         states[0, 0] = 999.0
-        assert history(0.0)[0] == 0.0
+        assert history.component(0.0, 0) == 0.0
 
     def test_strided_view_rejects_zero_stride(self):
         with pytest.raises(ValueError):
@@ -109,7 +112,7 @@ class TestInterpolationProperties:
     @given(st.floats(min_value=-1.0, max_value=3.0))
     def test_linear_function_reproduced_exactly(self, t):
         history = make_linear_history(steps=20, slope=3.0)
-        value = history(t)[0]
+        value = history.component(t, 0)
         clamped_t = min(max(t, 0.0), history.latest_time)
         assert value == pytest.approx(3.0 * clamped_t, abs=1e-9)
 
@@ -119,7 +122,7 @@ class TestInterpolationProperties:
     def test_interpolation_within_sample_bounds(self, values, frac):
         history = UniformHistory(0.0, 1.0, np.array([values[0]]))
         for v in values[1:]:
-            history.append(np.array([v]))
+            history.append([v])
         t = frac * history.latest_time
-        value = history(t)[0]
+        value = history.component(t, 0)
         assert min(values) - 1e-9 <= value <= max(values) + 1e-9

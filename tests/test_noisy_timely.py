@@ -37,8 +37,9 @@ class TestNoiseProcess:
         state = plain.initial_state()
         state[plain.queue_index] = 100.0
         history = UniformHistory(0.0, 1e-6, state)
-        assert noisy.derivatives(0.0, state, history) == \
-            pytest.approx(plain.derivatives(0.0, state, history))
+        values = state.tolist()
+        assert noisy.derivatives(0.0, values, history) == \
+            pytest.approx(plain.derivatives(0.0, values, history))
 
     def test_noise_only_touches_gradients(self):
         model = make_model(amplitude=50.0)
@@ -47,8 +48,8 @@ class TestNoiseProcess:
         state = plain.initial_state()
         state[plain.queue_index] = 200.0
         history = UniformHistory(0.0, 1e-6, state)
-        noisy_deriv = model.derivatives(0.0, state, history)
-        plain_deriv = plain.derivatives(0.0, state, history)
+        noisy_deriv = model.derivatives(0.0, state.tolist(), history)
+        plain_deriv = plain.derivatives(0.0, state.tolist(), history)
         assert noisy_deriv[model.queue_index] == \
             plain_deriv[plain.queue_index]
         assert noisy_deriv[model.rate_slice()] == pytest.approx(

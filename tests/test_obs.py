@@ -256,7 +256,7 @@ class TestRunLog:
                 return np.array([1.0])
 
             def derivatives(self, t, state, history):
-                return -3000.0 * state
+                return [-3000.0 * x for x in state]
 
             def state_labels(self):
                 return ["x"]

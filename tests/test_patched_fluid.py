@@ -6,7 +6,7 @@ import pytest
 from repro import units
 from repro.core.fluid import dde
 from repro.core.fluid.history import UniformHistory
-from repro.core.fluid.pi import DCQCNPIFluidModel
+from repro.core.fluid.dcqcn import DCQCNFluidModel
 from repro.core.fluid.timely import TimelyFluidModel
 from repro.core.params import PIParams, PatchedTimelyParams
 
@@ -20,7 +20,8 @@ def rate_derivatives(model, queue, gradients):
     state[model.queue_index] = queue
     state[model.gradient_slice()] = gradients
     history = UniformHistory(0.0, 1e-6, state)
-    return model.derivatives(0.0, state, history)[model.rate_slice()]
+    return np.array(model.derivatives(0.0, state.tolist(),
+                                      history))[model.rate_slice()]
 
 
 def update_intervals(params, rates):
@@ -114,14 +115,14 @@ class TestConvergence:
 class TestDCQCNPIModel:
     def test_state_layout_appends_p_mark(self, dcqcn_params):
         pi = PIParams.for_dcqcn(100.0)
-        model = DCQCNPIFluidModel(dcqcn_params, pi)
+        model = DCQCNFluidModel(dcqcn_params, pi=pi)
         labels = model.state_labels()
         assert labels[-1] == "p_mark"
         assert model.initial_state().shape == (len(labels),)
 
     def test_marking_is_the_delayed_pi_state(self, dcqcn_params):
         pi = PIParams.for_dcqcn(100.0)
-        model = DCQCNPIFluidModel(dcqcn_params, pi)
+        model = DCQCNFluidModel(dcqcn_params, pi=pi)
         state = model.initial_state()
         state[model.p_mark_index] = 0.4
         history = UniformHistory(0.0, 1e-6, state)
@@ -134,32 +135,32 @@ class TestDCQCNPIModel:
         # while the queue sits above the reference.
         pi = PIParams.for_dcqcn(100.0)
         half = dcqcn_params.capacity / 2
-        model = DCQCNPIFluidModel(dcqcn_params, pi,
-                                  initial_rates=[half, half],
-                                  initial_queue=2 * pi.q_ref)
+        model = DCQCNFluidModel(dcqcn_params, pi=pi,
+                                initial_rates=[half, half],
+                                initial_queue=2 * pi.q_ref)
         state = model.initial_state()
         state[model.p_mark_index] = 0.5
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         assert deriv[model.queue_index] == pytest.approx(0.0)
         assert deriv[model.p_mark_index] == pytest.approx(pi.k2)
 
     def test_anti_windup_freezes_at_floor(self, dcqcn_params):
         pi = PIParams.for_dcqcn(100.0)
-        model = DCQCNPIFluidModel(dcqcn_params, pi,
-                                  initial_rates=[1e5, 1e5],
-                                  initial_queue=0.0)
+        model = DCQCNFluidModel(dcqcn_params, pi=pi,
+                                initial_rates=[1e5, 1e5],
+                                initial_queue=0.0)
         state = model.initial_state()  # p_mark = 0, queue empty
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         assert deriv[model.p_mark_index] == 0.0
 
-    def test_clamp_bounds_p(self, dcqcn_params):
+    def test_clamp_bounds_p(self, dcqcn_params, integrator_bounded):
         pi = PIParams.for_dcqcn(100.0)
-        model = DCQCNPIFluidModel(dcqcn_params, pi)
+        model = DCQCNFluidModel(dcqcn_params, pi=pi)
         state = model.initial_state()
         state[model.p_mark_index] = 1.7
-        assert model.clamp(state)[model.p_mark_index] == 1.0
+        assert integrator_bounded(model, state)[model.p_mark_index] == 1.0
 
 
 class TestPatchedTimelyPIModel:
@@ -189,7 +190,7 @@ class TestPatchedTimelyPIModel:
                                  initial_queue=pi.q_ref)
         state = model.initial_state()
         history = UniformHistory(0.0, 1e-6, state)
-        deriv = model.derivatives(0.0, state, history)
+        deriv = np.array(model.derivatives(0.0, state.tolist(), history))
         dr = deriv[model.rate_slice()]
         # Larger p_i means stronger decrease for that flow.
         assert dr[0] > dr[1]
