@@ -221,7 +221,8 @@ def integrate(model: FluidModel,
     divergence_limit:
         Any state component exceeding this magnitude counts as
         divergence even while finite (catches blow-ups hundreds of
-        steps before float overflow).  None checks finiteness only.
+        steps before float overflow).  Must be positive (``inf``
+        allowed); None checks finiteness only.
     observer:
         In-run snapshot hook: ``observer(t, state)`` is called with
         the accepted (bounded) state every ``observer_stride`` steps
@@ -256,6 +257,9 @@ def integrate(model: FluidModel,
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if divergence_limit is not None and not divergence_limit > 0:
+        raise ValueError(f"divergence_limit must be positive or None, "
+                         f"got {divergence_limit}")
     if observer_stride is None:
         observer_stride = record_stride
     if observer_stride < 1:

@@ -184,8 +184,12 @@ class FlowLedger:
     def __init__(self):
         self._context: Optional[str] = None
         self._flows: "Dict[Tuple[Optional[str], int], FlowRecord]" = {}
+        #: The current context's slice of ``_flows``, keyed by flow id
+        #: alone, so per-packet hooks build no ``(context, id)`` key.
+        self._context_flows: "Dict[int, FlowRecord]" = {}
         self._pauses: "Dict[Tuple[Optional[str], str], _PauseLog]" = {}
-        self._nic_of: "Dict[Tuple[Optional[str], str], str]" = {}
+        #: Host NIC egress port -> its host's name.
+        self._nic_host: "Dict[Any, str]" = {}
         self._finalized = False
 
     # -- wiring ---------------------------------------------------------------
@@ -197,11 +201,13 @@ class FlowLedger:
         registrations land in the right context.
         """
         self._context = context
+        self._context_flows = {flow_id: record for (ctx, flow_id), record
+                               in self._flows.items() if ctx == context}
         for host in net.hosts.values():
             port = getattr(host, "port", None)
             if port is not None:
                 port.ledger = self
-                self._nic_of[(context, port.name)] = host.name
+                self._nic_host[port] = host.name
         for switch in net.switches.values():
             for port in switch.ports.values():
                 port.ledger = self
@@ -216,11 +222,11 @@ class FlowLedger:
 
     def _flow(self, flow_id: int, src: Optional[str] = None,
               dst: Optional[str] = None) -> FlowRecord:
-        key = (self._context, flow_id)
-        record = self._flows.get(key)
+        record = self._context_flows.get(flow_id)
         if record is None:
             record = FlowRecord(self._context, flow_id, src, dst)
-            self._flows[key] = record
+            self._flows[(self._context, flow_id)] = record
+            self._context_flows[flow_id] = record
         elif record.src is None and src is not None:
             record.src = src
             record.dst = dst
@@ -234,8 +240,10 @@ class FlowLedger:
             return
         now = port.sim.now
         packet.enqueue_time = now
-        record = self._flow(packet.flow_id, packet.src, packet.dst)
-        if self._nic_of.get((self._context, port.name)) == packet.src:
+        record = self._context_flows.get(packet.flow_id)
+        if record is None or record.src is None:
+            record = self._flow(packet.flow_id, packet.src, packet.dst)
+        if self._nic_host.get(port) == packet.src:
             self._account_emission(record, now, port.rate,
                                    packet.size_bytes)
         hop = record.hops.get(port.name)
@@ -274,7 +282,7 @@ class FlowLedger:
         """A data packet finished serialization at ``port``."""
         if packet.kind != "data":
             return
-        record = self._flows.get((self._context, packet.flow_id))
+        record = self._context_flows.get(packet.flow_id)
         if record is None:
             return
         hop = record.hops.get(port.name)
@@ -319,9 +327,7 @@ class FlowLedger:
     def on_rate_change(self, flow_id: int, old: float, new: float,
                        now: float) -> None:
         """A sender's rate (or window) moved; classify cut vs raise."""
-        record = self._flows.get((self._context, flow_id))
-        if record is None:
-            record = self._flow(flow_id)
+        record = self._flow(flow_id)
         if new < old:
             record.rate_cuts += 1
             if record.first_cut is None:
@@ -335,9 +341,7 @@ class FlowLedger:
     def on_control(self, flow_id: int, kind: str, count: int,
                    now: float) -> None:
         """A control-plane signal arrived at the sender (CNP/ACK)."""
-        record = self._flows.get((self._context, flow_id))
-        if record is None:
-            record = self._flow(flow_id)
+        record = self._flow(flow_id)
         if kind == "cnp":
             record.cnps += count
         elif kind == "ack":

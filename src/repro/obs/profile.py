@@ -11,9 +11,12 @@ matches a known engine category:
 ``protocol``
     Protocol handlers (:mod:`repro.sim.protocols`): DCQCN/TIMELY
     rate updates, CNP generation, ack clocking.
+``scheduler``
+    :meth:`~repro.sim.engine.Simulator.schedule`, ``schedule_at`` and
+    ``cancel``: building a heap entry and pushing it.
 ``engine``
-    The :class:`~repro.sim.engine.Simulator` run loop itself, heap
-    operations included (``heapq`` runs inline in it).
+    The :class:`~repro.sim.engine.Simulator` run loop itself, the heap
+    pops included (``heapq`` runs inline in it).
 ``fluid``
     The ODE/DDE models (:mod:`repro.core.fluid`).
 ``other``
@@ -62,9 +65,26 @@ CATEGORIES = (
 )
 
 
+def _scheduler_codes() -> tuple:
+    """Code objects of the engine's scheduling entry points.
+
+    Looked up in ``sys.modules`` rather than imported: no frame can
+    sit in the engine before something else has imported it.
+    """
+    engine = sys.modules.get("repro.sim.engine")
+    if engine is None:
+        return ()
+    simulator = engine.Simulator
+    return (simulator.schedule.__code__, simulator.schedule_at.__code__,
+            simulator.cancel.__code__)
+
+
 def classify_frame(frame) -> str:
     """Category of the innermost matching frame of a sampled stack."""
+    scheduler = _scheduler_codes()
     while frame is not None:
+        if frame.f_code in scheduler:
+            return "scheduler"
         filename = frame.f_code.co_filename
         for fragment, category in CATEGORIES:
             if fragment in filename:

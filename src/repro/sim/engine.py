@@ -1,10 +1,12 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event loop in the style of ns-3's scheduler: events are
-``(time, sequence, callback)`` triples in a binary heap; the sequence
-number makes ordering deterministic for simultaneous events (FIFO by
-scheduling order), which keeps every simulation in this package exactly
-reproducible.
+``[time, sequence, callback, args]`` lists in a binary heap; the
+sequence number makes ordering deterministic for simultaneous events
+(FIFO by scheduling order), which keeps every simulation in this
+package exactly reproducible.  The heap entry is also the event
+handle: :meth:`Simulator.schedule` returns it, ``event[0]`` is its
+time and :meth:`Simulator.cancel` clears its callback slot.
 
 Components never advance time themselves; they schedule callbacks and
 read :attr:`Simulator.now`.
@@ -20,8 +22,8 @@ and ``run`` can simply be called again.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 import time as _time
 from typing import Any, Callable, Optional
 
@@ -72,30 +74,6 @@ class SimulationAborted(RuntimeError):
         super().__init__(message)
 
 
-class Event:
-    """Handle for a scheduled callback; supports cancellation.
-
-    ``args`` are passed positionally to the callback when it fires --
-    scheduling ``schedule(d, fn, arg)`` instead of
-    ``schedule(d, lambda: fn(arg))`` spares the event loop one closure
-    allocation and one extra frame per event, which matters at millions
-    of events per second.
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, callback: Callable[..., Any],
-                 args: tuple = ()):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (lazy removal in the heap)."""
-        self.cancelled = True
-
-
 class PeriodicSampler:
     """Handle for a :meth:`Simulator.sample_every` subscription.
 
@@ -117,7 +95,7 @@ class PeriodicSampler:
         self.interval = interval
         self.callback = callback
         self.stop_time = stop
-        self._event: Optional[Event] = sim.schedule_at(
+        self._event: Optional[list] = sim.schedule_at(
             max(start, sim.now), self._fire)
 
     def _fire(self) -> None:
@@ -131,26 +109,24 @@ class PeriodicSampler:
     def cancel(self) -> None:
         """Stop sampling; safe to call more than once."""
         if self._event is not None:
-            self._event.cancel()
+            self.sim.cancel(self._event)
             self._event = None
 
 
 class Simulator:
     """Event-driven simulation clock and scheduler."""
 
-    __slots__ = ("_now", "_heap", "_sequence", "_running", "_processed")
+    __slots__ = ("now", "_heap", "_sequence", "_running", "_processed")
 
     def __init__(self):
-        self._now = 0.0
+        #: Current simulation time, seconds.  A plain attribute, not a
+        #: property: the packet path reads it several times per event.
+        #: Only the run loop writes it.
+        self.now = 0.0
         self._heap: list = []
         self._sequence = itertools.count()
         self._running = False
         self._processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time, seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -163,24 +139,39 @@ class Simulator:
         return len(self._heap)
 
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Run ``callback(*args)`` after ``delay`` seconds of sim time."""
+                 *args: Any) -> list:
+        """Run ``callback(*args)`` after ``delay`` seconds of sim time.
+
+        Returns the event handle, the heap entry itself:
+        ``[time, sequence, callback, args]``; read ``event[0]``, and
+        change it only through :meth:`cancel`.  ``args`` are passed
+        positionally -- ``schedule(d, fn, arg)`` instead of
+        ``schedule(d, lambda: fn(arg))`` spares the event loop one
+        closure allocation and one extra frame per event.
+        """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay
-        event = Event(time, callback, args)
-        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        event = [self.now + delay, next(self._sequence), callback, args]
+        heappush(self._heap, event)
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> Event:
+                    *args: Any) -> list:
         """Run ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule in the past: {time} < now={self._now}")
-        event = Event(time, callback, args)
-        heapq.heappush(self._heap, (time, next(self._sequence), event))
+                f"cannot schedule in the past: {time} < now={self.now}")
+        event = [time, next(self._sequence), callback, args]
+        heappush(self._heap, event)
         return event
+
+    @staticmethod
+    def cancel(event: list) -> None:
+        """Prevent ``event`` from firing (lazy removal in the heap).
+
+        A no-op on an event that was already cancelled or has fired.
+        """
+        event[2] = None
 
     def sample_every(self, interval: float,
                      callback: Callable[[float], Any],
@@ -222,7 +213,8 @@ class Simulator:
         self._running = True
         processed = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
+        horizon = float("inf") if until is None else until
         wall_begin = _time.monotonic()
         wall_start = wall_begin if max_wall_seconds is not None \
             else None
@@ -235,27 +227,27 @@ class Simulator:
                 while heap and self._running:
                     item = heap[0]
                     time = item[0]
-                    if until is not None and time > until:
+                    if time > horizon:
                         break
                     pop(heap)
-                    event = item[2]
-                    if event.cancelled:
+                    callback = item[2]
+                    if callback is None:
                         continue
-                    self._now = time
-                    event.callback(*event.args)
+                    self.now = time
+                    callback(*item[3])
                     processed += 1
             else:
                 while heap and self._running:
                     item = heap[0]
                     time = item[0]
-                    if until is not None and time > until:
+                    if time > horizon:
                         break
                     pop(heap)
-                    event = item[2]
-                    if event.cancelled:
+                    callback = item[2]
+                    if callback is None:
                         continue
-                    self._now = time
-                    event.callback(*event.args)
+                    self.now = time
+                    callback(*item[3])
                     processed += 1
                     if max_events is not None and \
                             processed >= max_events:
@@ -270,8 +262,8 @@ class Simulator:
                             "wall_clock", processed, len(heap),
                             f"exceeded max_wall_seconds="
                             f"{max_wall_seconds}")
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             # Always leave the simulator resumable: the clock is
             # consistent (last processed event, or ``until``) and the
@@ -288,7 +280,7 @@ class Simulator:
             registry.counter("sim.engine.runs_total").inc()
             registry.counter("sim.engine.events_total").inc(processed)
             registry.gauge("sim.engine.pending_events").set(len(heap))
-            registry.gauge("sim.engine.sim_time_s").set(self._now)
+            registry.gauge("sim.engine.sim_time_s").set(self.now)
             wall_s = _time.monotonic() - wall_begin
             if processed and wall_s > 0:
                 registry.gauge("sim.engine.events_per_sec").set(
@@ -316,12 +308,12 @@ class Simulator:
         if active is not None:
             try:
                 active.run_log.abort(
-                    reason=reason, sim_time=self._now,
+                    reason=reason, sim_time=self.now,
                     events_processed=processed, pending=pending,
                     detail=detail)
             except ValueError:
                 pass  # run log already finished/closed
-        return SimulationAborted(reason, processed, self._now,
+        return SimulationAborted(reason, processed, self.now,
                                  pending, detail=detail)
 
     def stop(self) -> None:

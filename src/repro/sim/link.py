@@ -133,13 +133,13 @@ class Port:
         an idle port starts a transmission here, and then exactly one.
         """
         if self.marker is not None and self.marking_point == "ingress" \
-                and not packet.is_control:
+                and packet.kind == "data":
             occupancy = self.queue.size_bytes + packet.size_bytes
             if self.marker.should_mark(occupancy):
                 packet.ecn_marked = True
                 self.ecn_marks += 1
         target = self.control_queue if (self.control_queue is not None
-                                        and packet.is_control) \
+                                        and packet.kind != "data") \
             else self.queue
         if not target.enqueue(packet):
             if self.on_drop is not None:
@@ -150,7 +150,7 @@ class Port:
         if self.ledger is not None:
             self.ledger.on_enqueue(self, packet)
         if not self.busy:
-            self._maybe_start()
+            self._transmit_next()
 
     def pause(self) -> None:
         """PFC PAUSE: stop serving the *data* class.
@@ -173,36 +173,23 @@ class Port:
         if self.ledger is not None:
             self.ledger.on_resume(self)
         if not self.busy:
-            self._maybe_start()
+            self._transmit_next()
 
-    def _serviceable_queue(self) -> Optional[ByteFIFO]:
-        """The queue the serializer should serve next, if any."""
-        if self.control_queue is not None and \
-                not self.control_queue.is_empty:
-            return self.control_queue
-        if self.paused:
-            return None
-        if not self.queue.is_empty:
-            return self.queue
-        return None
+    def _transmit_next(self) -> None:
+        """Put the next serviceable packet on the wire, if any.
 
-    def _maybe_start(self) -> None:
-        """Start the next transmission, if any packet is serviceable."""
-        source = self._serviceable_queue()
-        if source is not None:
-            self._transmit_from(source)
-
-    def _transmit_from(self, source: ByteFIFO) -> None:
-        """Dequeue from ``source`` and put the packet on the wire.
-
-        Callers have already selected the serviceable queue; taking it
-        as an argument keeps queue selection to one pass per wakeup
-        (the old ``_start_transmission`` re-derived it, doubling the
-        per-packet selection cost).
+        The control class goes first; the data queue is served unless
+        PFC paused it.  One call per wakeup selects, dequeues, marks
+        and schedules the finish.
         """
+        source = self.control_queue
+        if source is None or source.is_empty:
+            if self.paused or self.queue.is_empty:
+                return
+            source = self.queue
         packet = source.dequeue()
         if self.marker is not None and self.marking_point == "egress" \
-                and not packet.is_control:
+                and packet.kind == "data":
             # Departure-time decision against the instantaneous queue
             # (the departing packet counts as part of the backlog).
             occupancy = self.queue.size_bytes + packet.size_bytes
@@ -251,6 +238,4 @@ class Port:
         if self.ledger is not None:
             self.ledger.on_departure(self, packet)
         self.link.deliver(packet)
-        source = self._serviceable_queue()
-        if source is not None:
-            self._transmit_from(source)
+        self._transmit_next()

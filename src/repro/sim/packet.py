@@ -40,6 +40,8 @@ class Packet:
         Endpoint node names, used by switch forwarding.
     kind:
         ``"data"``, ``"ack"``, ``"cnp"``, ``"pause"`` or ``"resume"``.
+        Every kind but ``"data"`` is control: it skips ECN marking and
+        flow accounting.
     sent_time:
         Stamped by the sender NIC at first transmission; echoed into
         ACKs so TIMELY can measure RTT.
@@ -83,11 +85,6 @@ class Packet:
         #: Stamped by the flow-forensics ledger when the packet enters
         #: an egress FIFO; None whenever forensics is off.
         self.enqueue_time: Optional[float] = None
-
-    @property
-    def is_control(self) -> bool:
-        """Control packets skip ECN marking and flow accounting."""
-        return self.kind != "data"
 
     def __repr__(self) -> str:
         flags = " ECN" if self.ecn_marked else ""

@@ -93,12 +93,12 @@ class RateBasedSender:
         if self._rate == old_rate or self._finished_sending:
             return
         event = self._next_emission
-        if event is None or event.cancelled:
+        if event is None or event[2] is None:
             return
-        remaining = event.time - self.sim.now
+        remaining = event[0] - self.sim.now
         if remaining <= 0.0:
             return
-        event.cancel()
+        self.sim.cancel(event)
         self._next_emission = self.sim.schedule(
             remaining * old_rate / self._rate, self._pace)
 
@@ -156,7 +156,7 @@ class RateBasedSender:
         """Cancel pacing and detach from the host."""
         self._finished_sending = True
         if self._next_emission is not None:
-            self._next_emission.cancel()
+            self.sim.cancel(self._next_emission)
         self.host.unregister_sender(self.flow.flow_id)
 
 

@@ -83,17 +83,17 @@ class DCQCNSender(RateBasedSender):
     def stop(self) -> None:
         super().stop()
         if self._alpha_timer is not None:
-            self._alpha_timer.cancel()
+            self.sim.cancel(self._alpha_timer)
         if self._rate_timer is not None:
-            self._rate_timer.cancel()
+            self.sim.cancel(self._rate_timer)
         if self._cnp_timeout_timer is not None:
-            self._cnp_timeout_timer.cancel()
+            self.sim.cancel(self._cnp_timeout_timer)
 
     # -- timers ---------------------------------------------------------------
 
     def _arm_alpha_timer(self) -> None:
         if self._alpha_timer is not None:
-            self._alpha_timer.cancel()
+            self.sim.cancel(self._alpha_timer)
         self._alpha_timer = self.sim.schedule(self.params.tau_prime,
                                               self._alpha_decay)
 
@@ -104,7 +104,7 @@ class DCQCNSender(RateBasedSender):
 
     def _arm_rate_timer(self) -> None:
         if self._rate_timer is not None:
-            self._rate_timer.cancel()
+            self.sim.cancel(self._rate_timer)
         self._rate_timer = self.sim.schedule(self.params.timer,
                                              self._timer_event)
 
@@ -117,7 +117,7 @@ class DCQCNSender(RateBasedSender):
         if self.cnp_timeout is None:
             return
         if self._cnp_timeout_timer is not None:
-            self._cnp_timeout_timer.cancel()
+            self.sim.cancel(self._cnp_timeout_timer)
         self._cnp_timeout_timer = self.sim.schedule(
             self.cnp_timeout, self._cnp_timeout_fired)
 

@@ -76,7 +76,11 @@ class Switch:
         else:
             packet.pfc_ingress = None
         self.packets_forwarded += 1
-        self.port_for(packet.dst).send(packet)
+        try:
+            port = self.ports[self.fib[packet.dst]]
+        except KeyError:
+            port = self.port_for(packet.dst)  # raises the routing error
+        port.send(packet)
 
 
 def connect(sim: Simulator, src_device, dst_device,

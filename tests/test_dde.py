@@ -298,6 +298,13 @@ class TestDivergenceGuards:
             dde.integrate(ExponentialDecay(), t_end=1.0, dt=1e-3,
                           max_retries=-1)
 
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, math.nan])
+    def test_non_positive_or_nan_divergence_limit_rejected(self, limit):
+        # A bad argument, not a divergence at step 1 after a retry.
+        with pytest.raises(ValueError, match="divergence_limit"):
+            dde.integrate(ExponentialDecay(), t_end=1.0, dt=1e-3,
+                          divergence_limit=limit)
+
     def test_healthy_integration_untouched_by_guards(self):
         trace = dde.integrate(ExponentialDecay(), t_end=1.0, dt=1e-3)
         assert trace.final("x") == pytest.approx(math.exp(-1.0),

@@ -29,12 +29,12 @@ def _random_workload(sim, rng, total_events, max_events=None):
                  rng.random() * 1e-4, rng.random() * 1e-2])
             handles.append(sim.schedule(delay, fire, len(trace)))
         if handles and rng.random() < 0.05:
-            handles[rng.randrange(len(handles))].cancel()
+            sim.cancel(handles[rng.randrange(len(handles))])
 
     for i in range(50):
         handles.append(sim.schedule(rng.random() * 1e-4, fire, -i))
     for i in range(0, 50, 7):
-        handles[i].cancel()
+        sim.cancel(handles[i])
     aborts = 0
     while True:
         try:
@@ -133,11 +133,56 @@ class TestRunControl:
         log = []
         event = sim.schedule(1.0, lambda: log.append("no"))
         sim.schedule(2.0, lambda: log.append("yes"))
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending_events == 2  # lazy removal
         sim.run()
         assert log == ["yes"]
         assert sim.pending_events == 0
+
+    def test_cancel_twice_is_a_no_op(self):
+        sim = Simulator()
+        log = []
+        event = sim.schedule(1.0, lambda: log.append("no"))
+        sim.schedule(2.0, lambda: log.append("yes"))
+        sim.cancel(event)
+        sim.cancel(event)
+        assert sim.pending_events == 2
+        sim.run()
+        assert log == ["yes"]
+
+    def test_cancel_after_firing_is_a_no_op(self):
+        sim = Simulator()
+        log = []
+        event = sim.schedule(1.0, lambda: log.append("fired"))
+        later = sim.schedule(2.0, lambda: log.append("later"))
+        sim.run(until=1.5)
+        sim.cancel(event)
+        assert log == ["fired"]
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == ["fired", "later"]
+        assert later[0] == 2.0
+
+    def test_cancelled_entries_count_until_popped(self):
+        sim = Simulator()
+        log = []
+        early = sim.schedule(1.0, lambda: log.append("early"))
+        late = sim.schedule(3.0, lambda: log.append("late"))
+        sim.cancel(early)
+        sim.cancel(late)
+        assert sim.pending_events == 2
+        sim.run(until=2.0)  # pops the cancelled 1.0 entry only
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0
+        assert log == []
+
+    def test_handle_carries_its_time(self):
+        sim = Simulator()
+        sim.schedule(0.5, lambda: None)
+        sim.run()
+        assert sim.schedule(0.25, lambda: None)[0] == 0.75
+        assert sim.schedule_at(2.0, lambda: None)[0] == 2.0
 
     def test_stop_aborts_run(self):
         sim = Simulator()
@@ -163,7 +208,7 @@ class TestRunControl:
         sim.schedule(0.5, lambda: log.append("a"))
         doomed = sim.schedule(0.5, lambda: log.append("b"))
         sim.schedule(0.5, lambda: log.append("c"))
-        doomed.cancel()
+        sim.cancel(doomed)
         sim.run()
         assert log == ["a", "c"]
 
@@ -173,7 +218,7 @@ class TestRunControl:
         sim = Simulator()
         log = []
         events = {}
-        sim.schedule(1.0, lambda: events["victim"].cancel())
+        sim.schedule(1.0, lambda: sim.cancel(events["victim"]))
         events["victim"] = sim.schedule(1.0, lambda: log.append("victim"))
         sim.run()
         assert log == []
@@ -241,7 +286,7 @@ class TestRunControl:
         sim.schedule(1.0, lambda: sim.stop())
         doomed = sim.schedule(2.0, lambda: log.append("no"))
         sim.run()
-        doomed.cancel()
+        sim.cancel(doomed)
         sim.run()
         assert log == []
 

@@ -254,6 +254,39 @@ class TestRealScenario:
         assert all(r.context == "fig05" for r in records)
         assert any(r.rate_cuts > 0 and r.cnps > 0 for r in records)
 
+    def test_contexts_with_shared_names_stay_separate(self):
+        # fig05 builds one net per delay point: every net has the same
+        # port names and flow ids, told apart only by the context.
+        from repro.sim.red import REDMarker
+        params = DCQCNParams.paper_default(capacity_gbps=10,
+                                           num_flows=2)
+        ledger = FlowLedger()
+        with use_ledger(ledger):
+            for context, until in (("a", 0.002), ("b", 0.004)):
+                marker = REDMarker(params.red, params.mtu_bytes, seed=3)
+                net = single_switch(2, link_gbps=10, marker=marker)
+                attach_flow_forensics(net, context=context)
+                for i in range(2):
+                    install_flow(net, "dcqcn", f"s{i}", "recv", None,
+                                 0.0, params)
+                net.sim.run(until=until)
+        records = ledger.records()
+        assert sorted((r.context, r.flow_id) for r in records) == [
+            ("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+        for record in records:
+            # Emissions are counted once per packet, at the sender's
+            # NIC port only, and only from this context's run.
+            sent = record.flow.bytes_sent // params.mtu_bytes
+            assert record.emitted == sent > 0
+            assert record.hops[f"{record.src}->sw"].packets == sent
+            assert record.hops["sw->recv"].packets < sent
+            assert record.rate_limited_s > 0.0
+            assert record.first_emit == 0.0
+            assert record.last_emit < (0.002 if record.context == "a"
+                                       else 0.004)
+        emitted = {(r.context, r.flow_id): r.emitted for r in records}
+        assert emitted["b", 0] > emitted["a", 0]
+
 
 class TestSurfaces:
     def _completed_events(self):

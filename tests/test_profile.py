@@ -74,6 +74,35 @@ class TestSamplingProfiler:
                      dde.__file__, "exec"), namespace)
         assert classify_frame(namespace["frame"]) == "fluid"
 
+    def test_classify_frame_inside_schedule_is_scheduler(self):
+        frames = []
+
+        class Probe(float):
+            """A time whose comparison records the comparing frame."""
+
+            def __lt__(self, other):
+                frames.append(sys._getframe(1))
+                return float(self) < other
+
+        class Handle(list):
+            def __setitem__(self, index, value):
+                frames.append(sys._getframe(1))
+                super().__setitem__(index, value)
+
+        Simulator().schedule(Probe(1.0), lambda: None)
+        Simulator().schedule_at(Probe(2.0), lambda: None)
+        Simulator().cancel(Handle([3.0, 0, None, ()]))
+        assert [frame.f_code.co_name for frame in frames] == [
+            "schedule", "schedule_at", "cancel"]
+        assert [classify_frame(frame) for frame in frames] == \
+            ["scheduler"] * 3
+        # The run loop in the same module stays ``engine``.
+        sim = Simulator()
+        sim.schedule(0.5, lambda: frames.append(sys._getframe(1)))
+        sim.run()
+        assert frames[-1].f_code.co_name == "run"
+        assert classify_frame(frames[-1]) == "engine"
+
     def test_publish_writes_gauges(self):
         registry = MetricsRegistry()
         with SamplingProfiler(interval=0.001) as profiler:

@@ -210,7 +210,7 @@ class TestPacing:
         sender.flow.start_time = 0.0
         sender._next_emission = sim.schedule(1.0, sender._pace)
         sender.rate = sender.rate * 100
-        assert sender._next_emission.time == pytest.approx(0.01)
+        assert sender._next_emission[0] == pytest.approx(0.01)
 
     def test_start_rate_c_over_n_plus_one(self):
         params = TimelyParams.paper_default()
